@@ -38,7 +38,7 @@ __all__ = ["PurityRule", "DEFAULT_ROOTS"]
 
 #: Entry points whose transitive callees must stay deterministic: the
 #: fingerprint function itself, the cache's request-serving methods, and
-#: the graph node identity (which *is* a fingerprint).
+#: the graph node identity and fusion key (both are fingerprints).
 DEFAULT_ROOTS = (
     "repro.batch.cache:fingerprint",
     "repro.batch.cache:SweepCache.lookup",
@@ -46,6 +46,7 @@ DEFAULT_ROOTS = (
     "repro.batch.cache:SweepCache.store",
     "repro.batch.cache:SweepCache.get_or_compute",
     "repro.graph.nodes:Node.key",
+    "repro.graph.nodes:Node.compat",
 )
 
 #: Dotted-name prefixes that reach nondeterminism.

@@ -22,6 +22,14 @@ surfaces are bit-identical — a ``read_write`` synchronous bus and the
 differing only in ``volume_mode`` — canonicalize to one fingerprint and
 their sweeps are computed once (see :func:`_canonical_bus`).
 
+The encoding is cheap to repeat: exact types are dispatched first, and
+machines and stencils keep their rendered encoding on the instance
+(see :func:`_canonical_model`).  That memo relies on the model objects
+being immutable after construction — they are frozen dataclasses, and
+mutating one in place (for instance the ``Stencil.weights`` dict of a
+stencil that has been fingerprinted) is unsupported: its fingerprint
+would go stale.
+
 Both tiers can be size-bounded (``max_bytes``): entries are tracked in
 least-recently-used order and evicted once the tier exceeds the bound,
 with eviction counts surfaced in :class:`CacheStats`.  Hit/miss
@@ -46,7 +54,9 @@ from typing import Callable, Mapping
 import numpy as np
 
 from repro.errors import InvalidParameterError
+from repro.machines.base import Architecture
 from repro.machines.bus import AsynchronousBus, SynchronousBus
+from repro.stencils.stencil import Stencil
 
 __all__ = [
     "CacheStats",
@@ -111,15 +121,87 @@ def _has_stable_repr(obj: object) -> bool:
     return type(obj).__repr__ is not object.__repr__
 
 
+#: Exact types that encode as themselves.  Exact, not ``isinstance``:
+#: subclasses (``IntEnum`` members, named tuples) keep the generic path.
+_ATOMS = frozenset({str, int, bool, bytes, type(None)})
+
+#: ``_INT_ONLY.issuperset(map(type, seq))``: every element is a plain int.
+_INT_ONLY = frozenset({int})
+
+#: Instance attribute holding a model object's memoized encoding.
+_MEMO_ATTR = "_canonical_memo"
+
+
 def _canonical(obj: object) -> object:
     """A hashable, repr-stable view of a request component.
 
     Dataclasses (machines, stencils, specs) encode as their qualified
     class name plus all field values; arrays as shape/dtype/content
-    digest.  Two objects encode equal iff the model treats them as the
-    same input — including bus presets that share a closed form (see
+    digest.  Two objects encode equal (their ``repr`` is what
+    :func:`fingerprint` hashes) iff the model treats them as the same
+    input — including bus presets that share a closed form (see
     :func:`_canonical_bus`).
+
+    The common exact types are dispatched first, and an all-``int``
+    tuple — a spec's grid-side axis — is returned as it is.  Machines
+    and stencils carry their encoding on the instance
+    (:func:`_canonical_model`).  Everything else takes the generic
+    path, :func:`_canonical_generic`; the encoding is the same either
+    way.
     """
+    if type(obj) in _ATOMS:
+        return obj
+    if type(obj) is float:
+        return ("float", repr(obj))
+    if type(obj) is tuple or type(obj) is list:
+        if _INT_ONLY.issuperset(map(type, obj)):
+            return tuple(obj)
+        return tuple([_canonical(v) for v in obj])
+    if isinstance(obj, (Stencil, Architecture)):
+        return _canonical_model(obj)
+    return _canonical_generic(obj)
+
+
+class _Encoded:
+    """A finished encoding kept as text; its ``repr`` is that text.
+
+    :func:`fingerprint` hashes only the ``repr`` of an encoding, so a
+    memo can hold the rendered text instead of the tuple and skip
+    re-rendering it on every request.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def __repr__(self) -> str:
+        return self.text
+
+
+def _canonical_model(obj: Stencil | Architecture) -> object:
+    """The encoding of a machine or stencil, memoized on the instance.
+
+    Model objects are immutable after construction, so a frozen
+    dataclass instance renders its encoding once and keeps it in its
+    own ``__dict__`` (the way ``functools.cached_property`` does).  The
+    memo lives and dies with the instance: copies and unpickled
+    instances carry the same text, and a new instance with equal fields
+    renders equal text.  Instances of classes that are not frozen
+    dataclasses are encoded afresh on every call.
+    """
+    params = getattr(type(obj), "__dataclass_params__", None)
+    slot = getattr(obj, "__dict__", None) if params is not None and params.frozen else None
+    if slot is None:
+        return _canonical_generic(obj)
+    memo = slot.get(_MEMO_ATTR)
+    if memo is None:
+        memo = slot[_MEMO_ATTR] = _Encoded(repr(_canonical_generic(obj)))
+    return memo
+
+
+def _canonical_generic(obj: object) -> object:
+    """The full type chain behind :func:`_canonical`'s fast paths."""
     if isinstance(obj, np.ndarray):
         data = np.ascontiguousarray(obj)
         return (

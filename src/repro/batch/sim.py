@@ -80,7 +80,7 @@ SIM_MODES = ("barrier", "pipelined")
 
 def _as_int_tuple(values: Sequence[int], label: str) -> tuple[int, ...]:
     try:
-        out = tuple(int(v) for v in values)
+        out = tuple(map(int, values))
     except (TypeError, ValueError):
         raise InvalidParameterError(
             f"{label} must be a sequence of integers, got {values!r}"
@@ -124,21 +124,24 @@ class ReplicaBatchSpec:
             )
         if not self.grid_sides:
             raise InvalidParameterError("replica batch must be non-empty")
-        for n in self.grid_sides:
-            if n < 1:
-                raise InvalidParameterError("grid sides must be >= 1")
-        for n, p in zip(self.grid_sides, self.processors):
-            if p < 1:
-                raise InvalidParameterError("processor counts must be >= 1")
-            if p > n * n:
-                raise InvalidParameterError(
-                    f"cannot place {p} processors on an {n}x{n} grid"
-                )
-        for seed in self.seeds:
-            if not 0 <= seed <= MAX_SEED:
-                raise InvalidParameterError(
-                    f"seeds must lie in [0, 2**64), got {seed}"
-                )
+        # Whole-column bounds first (replicas share few distinct sizes);
+        # only a batch that may break a bound is walked replica by
+        # replica, so the first offending replica names the error.
+        n_min = min(set(self.grid_sides))
+        if n_min < 1:
+            raise InvalidParameterError("grid sides must be >= 1")
+        counts = set(self.processors)
+        if min(counts) < 1 or max(counts) > n_min * n_min:
+            for n, p in zip(self.grid_sides, self.processors):
+                if p < 1:
+                    raise InvalidParameterError("processor counts must be >= 1")
+                if p > n * n:
+                    raise InvalidParameterError(
+                        f"cannot place {p} processors on an {n}x{n} grid"
+                    )
+        if min(self.seeds) < 0 or max(self.seeds) > MAX_SEED:
+            seed = next(s for s in self.seeds if not 0 <= s <= MAX_SEED)
+            raise InvalidParameterError(f"seeds must lie in [0, 2**64), got {seed}")
         if self.mode not in SIM_MODES:
             raise InvalidParameterError(
                 f"mode must be one of {SIM_MODES}, got {self.mode!r}"

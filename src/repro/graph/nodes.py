@@ -14,9 +14,11 @@ Two node classes exist:
   processor counts for isoefficiency searches, …).  Leaves carry the
   *same* cache-request tuple the eager analysis layer has always used,
   so graph-planned results and pre-graph cache stores share entries,
-  plus a *compatibility* fingerprint: two leaves with equal ``compat``
-  differ only in their axis and may be fused onto one vectorized
-  evaluation over the union axis.
+  plus a *compatibility* request: two leaves with equal ``compat``
+  fingerprints differ only in their axis and may be fused onto one
+  vectorized evaluation over the union axis.  Both fingerprints are
+  computed lazily, and ``compat`` only when the planner's fuse pass
+  needs it — a warm cache hit never does.
 * **reductions** — pure array-to-array post-processing (speedup
   ratios, isoefficiency exponent fits) over child nodes.  Reductions
   are cheap and never cached; their children are.
@@ -84,9 +86,10 @@ class Node:
     #: The cache-request tuple (exactly the eager layer's), or ``None``
     #: for reductions, which are never cached.
     request: tuple | None
-    #: Fusion-compatibility fingerprint: nodes sharing it differ only in
-    #: their axis.  ``None`` marks a non-fusable node.
-    compat: str | None
+    #: Fusion-compatibility request: nodes whose :attr:`compat`
+    #: fingerprints match differ only in their axis.  ``None`` marks a
+    #: non-fusable node.
+    compat_request: tuple | None
     #: The 1-D axis the result is elementwise over (``None`` for
     #: reductions).
     axis: np.ndarray | None
@@ -108,13 +111,20 @@ class Node:
             ("graph-reduce", self.op, tuple(child.key for child in self.inputs))
         )
 
+    @cached_property
+    def compat(self) -> str | None:
+        """Fusion-compatibility fingerprint, or ``None`` when not fusable."""
+        if self.compat_request is None:
+            return None
+        return fingerprint(self.compat_request)
+
     @property
     def is_reduction(self) -> bool:
         return self.op in REDUCE_OPS
 
     @property
     def is_fusable(self) -> bool:
-        return self.compat is not None and self.axis is not None
+        return self.compat_request is not None and self.axis is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({self.detail or self.op})"
@@ -181,17 +191,15 @@ def allocation_curve(
         request=_allocation_request(
             machine, stencil, kind, n, t_flop, max_processors, integer
         ),
-        compat=fingerprint(
-            (
-                "fuse",
-                "allocation_curve",
-                machine,
-                stencil,
-                kind,
-                _float_tag(t_flop),
-                None if max_processors is None else _float_tag(max_processors),
-                bool(integer),
-            )
+        compat_request=(
+            "fuse",
+            "allocation_curve",
+            machine,
+            stencil,
+            kind,
+            _float_tag(t_flop),
+            None if max_processors is None else _float_tag(max_processors),
+            bool(integer),
         ),
         axis=n,
         detail=(
@@ -228,9 +236,7 @@ def max_useful_processors(
             n,
             _float_tag(t_flop),
         ),
-        compat=fingerprint(
-            ("fuse", "max_useful", machine, stencil, kind, _float_tag(t_flop))
-        ),
+        compat_request=("fuse", "max_useful", machine, stencil, kind, _float_tag(t_flop)),
         axis=n,
         detail=(
             f"max_useful[{_machine_label(machine)} {stencil.name} "
@@ -266,9 +272,7 @@ def minimal_problem_size(
             p,
             _float_tag(t_flop),
         ),
-        compat=fingerprint(
-            ("fuse", "n2_min", machine, stencil, kind, _float_tag(t_flop))
-        ),
+        compat_request=("fuse", "n2_min", machine, stencil, kind, _float_tag(t_flop)),
         axis=p,
         detail=(
             f"n2_min[{_machine_label(machine)} {stencil.name} "
@@ -314,17 +318,15 @@ def grid_for_efficiency(
             _float_tag(t_flop),
             int(n_max),
         ),
-        compat=fingerprint(
-            (
-                "fuse",
-                "grid_for_efficiency",
-                machine,
-                stencil,
-                kind,
-                _float_tag(target_efficiency),
-                _float_tag(t_flop),
-                int(n_max),
-            )
+        compat_request=(
+            "fuse",
+            "grid_for_efficiency",
+            machine,
+            stencil,
+            kind,
+            _float_tag(target_efficiency),
+            _float_tag(t_flop),
+            int(n_max),
         ),
         axis=p_int,
         detail=(
@@ -346,16 +348,14 @@ def sweep(spec: SweepSpec) -> Node:
         op="sweep",
         args={"spec": spec},
         request=("run_sweep", spec),
-        compat=fingerprint(
-            (
-                "fuse",
-                "sweep",
-                spec.processors,
-                spec.machines,
-                spec.stencil,
-                spec.kind,
-                _float_tag(spec.t_flop),
-            )
+        compat_request=(
+            "fuse",
+            "sweep",
+            spec.processors,
+            spec.machines,
+            spec.stencil,
+            spec.kind,
+            _float_tag(spec.t_flop),
         ),
         axis=np.asarray(spec.grid_sides, dtype=int),
         detail=(
@@ -381,7 +381,7 @@ def plan_grid(machine: BusArchitecture, n_processors: Sequence[int]) -> Node:
         op="plan_grid",
         args={"machine": machine},
         request=("plan_grid", machine, p),
-        compat=fingerprint(("fuse", "plan_grid", machine)),
+        compat_request=("fuse", "plan_grid", machine),
         axis=p,
         detail=f"plan_grid[{_machine_label(machine)} p_axis={p.size}]",
     )
@@ -445,19 +445,17 @@ def sim_sweep(
             "jitter": float(jitter),
         },
         request=replica_request(spec),
-        compat=fingerprint(
-            (
-                "fuse",
-                "sim_sweep",
-                machine_sim_tag(machine),
-                stencil,
-                kind,
-                int(n),
-                int(n_processors),
-                _float_tag(t_flop),
-                str(mode),
-                _float_tag(jitter),
-            )
+        compat_request=(
+            "fuse",
+            "sim_sweep",
+            machine_sim_tag(machine),
+            stencil,
+            kind,
+            int(n),
+            int(n_processors),
+            _float_tag(t_flop),
+            str(mode),
+            _float_tag(jitter),
         ),
         axis=seed_axis,
         detail=(
@@ -516,17 +514,15 @@ def sim_validate(
             _float_tag(t_flop),
             str(mode),
         ),
-        compat=fingerprint(
-            (
-                "fuse",
-                "sim_validate",
-                machine_sim_tag(machine),
-                stencil,
-                kind,
-                int(n),
-                _float_tag(t_flop),
-                str(mode),
-            )
+        compat_request=(
+            "fuse",
+            "sim_validate",
+            machine_sim_tag(machine),
+            stencil,
+            kind,
+            int(n),
+            _float_tag(t_flop),
+            str(mode),
         ),
         axis=p_axis,
         detail=(
@@ -557,7 +553,7 @@ def speedup_ratio(
         op="ratio",
         args={},
         request=None,
-        compat=None,
+        compat_request=None,
         axis=None,
         inputs=(a, b),
         detail=f"ratio[{_machine_label(machine_a)}/{_machine_label(machine_b)}]",
@@ -582,7 +578,7 @@ def strip_square_ratio(
         op="ratio",
         args={},
         request=None,
-        compat=None,
+        compat_request=None,
         axis=None,
         inputs=(st, sq),
         detail=f"ratio[{_machine_label(machine)} strip/square]",
@@ -607,7 +603,7 @@ def isoefficiency_fit(
         op="isoefficiency_fit",
         args={"processor_counts": tuple(int(p) for p in processor_counts)},
         request=None,
-        compat=None,
+        compat_request=None,
         axis=None,
         inputs=(sides,),
         detail=(

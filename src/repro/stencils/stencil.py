@@ -49,7 +49,9 @@ class Stencil:
         Optional mapping from offset to coefficient for an actual PDE
         update ``u'[i,j] = sum(w * u[i+di, j+dj]) + rhs_scale * f[i,j]``.
         When omitted the stencil is purely geometric (enough for the
-        performance model, not for the solver substrate).
+        performance model, not for the solver substrate).  Treated as
+        immutable, like every field: cache fingerprints memoize a
+        stencil's encoding, so edit a copy, never the mapping in place.
     flops_per_point:
         ``E(S)``, floating point operations per grid-point update.
         Defaults to ``len(offsets) + 1``.

@@ -178,6 +178,67 @@ class TestSpecValidation:
                 8, 4, 0, jitter=1.0,
             )
 
+    # The exact messages, and which replica a message names when several
+    # are bad: validation checks whole columns at once, so these pin that
+    # the first offending replica still decides the error.
+
+    @staticmethod
+    def _spec(grid_sides, processors, seeds, **knobs):
+        return ReplicaBatchSpec(
+            machine=DEFAULT_MACHINES["paper-bus"], stencil=FIVE_POINT,
+            kind=PartitionKind.SQUARE, grid_sides=tuple(grid_sides),
+            processors=tuple(processors), seeds=tuple(seeds), **knobs,
+        )
+
+    @pytest.mark.parametrize(
+        ("grid_sides", "processors", "seeds", "knobs", "message"),
+        [
+            ((8, 16), (2, 4, 8), (0, 1), {},
+             "grid_sides, processors, and seeds must be parallel arrays; "
+             "got lengths 2/3/2"),
+            ((), (), (), {}, "replica batch must be non-empty"),
+            ((8, 0, -1), (4, 4, 4), (0, 1, 2), {}, "grid sides must be >= 1"),
+            ((8, 2, 8), (4, 0, 100), (0, 1, 2), {}, "processor counts must be >= 1"),
+            ((8, 2, 8), (4, 5, 0), (0, 1, 2), {},
+             "cannot place 5 processors on an 2x2 grid"),
+            ((8, 8, 8), (64, 65, 99), (0, 1, 2), {},
+             "cannot place 65 processors on an 8x8 grid"),
+            ((8, 8, 8), (4, 4, 4), (1, -3, MAX_SEED + 1), {},
+             "seeds must lie in [0, 2**64), got -3"),
+            ((8, 8, 8), (4, 4, 4), (MAX_SEED, MAX_SEED + 1, -1), {},
+             f"seeds must lie in [0, 2**64), got {MAX_SEED + 1}"),
+            ((8,), (4,), (0,), {"mode": "speculative"},
+             "mode must be one of ('barrier', 'pipelined'), got 'speculative'"),
+            ((8,), (4,), (0,), {"t_flop": 0.0}, "t_flop must be positive"),
+            ((8,), (4,), (0,), {"jitter": 1.0}, "jitter must lie in [0, 1), got 1.0"),
+        ],
+    )
+    def test_error_messages_are_pinned(self, grid_sides, processors, seeds, knobs, message):
+        with pytest.raises(InvalidParameterError) as err:
+            self._spec(grid_sides, processors, seeds, **knobs)
+        assert str(err.value) == message
+
+    def test_mixed_sizes_that_all_fit_are_accepted(self):
+        # P = 50 exceeds the smallest grid (2x2) but fits its own 100x100.
+        spec = self._spec((2, 100, 2), (4, 50, 1), (0, 1, MAX_SEED))
+        assert spec.n_replicas == 3
+
+    @pytest.mark.parametrize(
+        ("values", "message"),
+        [
+            ([8, "x"], "grid_sides must be a sequence of integers, got [8, 'x']"),
+            ([8, None], "grid_sides must be a sequence of integers, got [8, None]"),
+            ([], "grid_sides must be non-empty"),
+        ],
+    )
+    def test_build_column_messages_are_pinned(self, values, message):
+        with pytest.raises(InvalidParameterError) as err:
+            ReplicaBatchSpec.build(
+                DEFAULT_MACHINES["paper-bus"], FIVE_POINT, PartitionKind.SQUARE,
+                values, 4, 0,
+            )
+        assert str(err.value) == message
+
     def test_band_summary(self):
         spec = ReplicaBatchSpec.monte_carlo(
             DEFAULT_MACHINES["paper-bus"], FIVE_POINT, PartitionKind.SQUARE,

@@ -15,7 +15,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.batch.cache import SweepCache
+from repro.batch.cache import SweepCache, fingerprint
 from repro.batch.engine import SweepSpec, run_sweep
 from repro.core.allocation import optimize_allocation
 from repro.core.isoefficiency import isoefficiency_exponent
@@ -294,6 +294,26 @@ class TestDedupAndCache:
             cache=cache,
         )
         assert p.cache_hits == 1  # the eager store serves the graph probe
+
+    def test_warm_hit_never_fingerprints_compat(self):
+        cache = SweepCache()
+        sides = [64, 256]
+        evaluate(
+            [nodes.allocation_curve(PAPER_BUS, FIVE_POINT, PartitionKind.SQUARE, sides)],
+            cache=cache,
+        )
+        node = nodes.allocation_curve(PAPER_BUS, FIVE_POINT, PartitionKind.SQUARE, sides)
+        warm_plan = plan([node], cache=cache)
+        assert warm_plan.cache_hits == 1
+        assert "compat" not in vars(node)  # the lazy fusion key was never built
+        # Asked for, it is the fingerprint of the stored compat request.
+        assert node.compat == fingerprint(node.compat_request)
+        assert node.is_fusable
+
+    def test_reductions_have_no_compat(self):
+        ratio = nodes.strip_square_ratio(PAPER_BUS, FIVE_POINT, [64])
+        assert ratio.compat_request is None and ratio.compat is None
+        assert not ratio.is_fusable
 
     def test_lookup_false_skips_probe_but_still_stores(self):
         cache = SweepCache()
