@@ -1,26 +1,21 @@
-"""BENCH-SERVICE: both serve backends — latency, pipelining, connections.
+"""BENCH-SERVICE: the sweep daemon — latency, pipelining, throughput, dedup.
 
-Five measurements, recorded to ``results/BENCH_service.json`` so the
-serving layer's behavior is tracked across PRs:
+Four measurements against one ``SweepServer``, recorded to
+``results/BENCH_service.json`` so the serving layer's behavior is
+tracked across PRs:
 
-* **server vs direct latency, per backend** — a warm allocation-curve
-  request through ``repro serve`` versus the same request answered by
-  the in-process cache, measured against the threaded backend AND the
-  asyncio backend.  The client negotiates the zero-copy binary frame
+* **server vs direct latency** — a warm allocation-curve request
+  through ``repro serve`` versus the same request answered by the
+  in-process cache.  The client negotiates the zero-copy binary frame
   over a pooled keep-alive connection; the base64-JSON path is also
-  timed.  **Gate (both backends):** the warm hit's wire overhead
-  (server minus direct) must be at most ``MAX_WIRE_OVERHEAD_RATIO``
-  times the direct cost — the protocol may not dominate the compute.
-* **pipelined throughput, per backend** — warm hits issued through
+  timed.  **Gate:** the warm hit's wire overhead (server minus direct)
+  must be at most ``MAX_WIRE_OVERHEAD_RATIO`` times the direct cost —
+  the protocol may not dominate the compute.
+* **pipelined throughput** — warm hits issued through
   ``compute_many(pipeline=16)`` versus the same count sequentially
-  over one keep-alive connection.  **Gate (asyncio):**
-  ``pipelined_rps`` must be at least ``MIN_PIPELINE_SPEEDUP`` times
-  the sequential rate — pipelining has to buy real round trips.
-* **concurrent connections (asyncio)** — at least
-  ``CONNECTION_TARGET`` idle keep-alive sockets held open at once
-  (the fd limit is raised first), while the server's thread count
-  stays bounded by the executor size.  **Gate:** sockets are not
-  threads.
+  over one keep-alive connection.  **Gate:** ``pipelined_rps`` must be
+  at least ``MIN_PIPELINE_SPEEDUP`` times the sequential rate —
+  pipelining has to buy real round trips.
 * **sustained throughput** — N concurrent keep-alive clients hammer
   warm requests for a fixed count (reported, not gated — CI boxes
   vary).
@@ -37,8 +32,6 @@ Run as a script (CI's smoke bench) or under pytest:
 from __future__ import annotations
 
 import json
-import resource
-import socket
 import sys
 import threading
 import time
@@ -49,7 +42,7 @@ import numpy as np
 from repro.batch import SweepCache, optimal_allocation_curve
 from repro.machines.catalog import PAPER_BUS
 from repro.report.csvio import default_results_dir
-from repro.service import AsyncSweepServer, ServiceClient, SweepServer
+from repro.service import ServiceClient, SweepServer
 from repro.service.schema import allocation_payload
 from repro.stencils.library import FIVE_POINT
 from repro.stencils.perimeter import PartitionKind
@@ -61,8 +54,6 @@ THROUGHPUT_CLIENTS = 8
 THROUGHPUT_REQUESTS = 100  # per client, warm, over keep-alive connections
 PIPELINE_DEPTH = 16
 PIPELINE_REQUESTS = 256  # warm hits per timing arm
-CONNECTION_TARGET = 1000  # idle keep-alive sockets held open at once
-ASYNC_WORKERS = 8
 
 #: The acceptance bar: fraction of concurrent identical requests that
 #: must be answered by the cache or by coalescing onto the one compute.
@@ -74,29 +65,8 @@ MIN_DEDUP_RATIO = 0.90
 MAX_WIRE_OVERHEAD_RATIO = 2.0
 
 #: Pipelined warm hits must beat one-at-a-time keep-alive requests by
-#: at least this factor on the asyncio backend.
+#: at least this factor.
 MIN_PIPELINE_SPEEDUP = 1.5
-
-BACKENDS = {"thread": SweepServer, "asyncio": AsyncSweepServer}
-
-
-def _make_server(backend: str):
-    if backend == "asyncio":
-        return AsyncSweepServer(port=0, workers=ASYNC_WORKERS)
-    return SweepServer(port=0)
-
-
-def _raise_fd_limit(wanted: int) -> int:
-    """Raise RLIMIT_NOFILE toward ``wanted``; return the soft limit."""
-    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
-    if soft < wanted:
-        target = wanted if hard == resource.RLIM_INFINITY else min(wanted, hard)
-        try:
-            resource.setrlimit(resource.RLIMIT_NOFILE, (target, hard))
-            soft = target
-        except (ValueError, OSError):
-            pass  # keep whatever we have; the bench scales down
-    return soft
 
 
 def _median_seconds(fn, repeats: int = 15) -> float:
@@ -112,7 +82,7 @@ def bench_latency(server) -> dict:
     """Median warm-request latency: daemon round trip vs direct cache.
 
     The daemon is timed twice — once over the negotiated binary frame
-    (the default client) and once forced onto the base64-JSON fallback
+    (the default client) and once forced onto the base64-JSON path
     — so the frame's win is itself a tracked number.
     """
     client = ServiceClient(server.url)
@@ -143,7 +113,6 @@ def bench_latency(server) -> dict:
         )
     )
     return {
-        "backend": server.backend,
         "points": len(SIDES),
         "protocol": protocol,
         "warm_server_seconds": server_s,
@@ -178,7 +147,6 @@ def bench_pipelining(server) -> dict:
     sequential_rps = PIPELINE_REQUESTS / sequential_s
     pipelined_rps = PIPELINE_REQUESTS / pipelined_s
     return {
-        "backend": server.backend,
         "requests": PIPELINE_REQUESTS,
         "pipeline_depth": PIPELINE_DEPTH,
         "sequential_seconds": sequential_s,
@@ -186,48 +154,6 @@ def bench_pipelining(server) -> dict:
         "sequential_rps": sequential_rps,
         "pipelined_rps": pipelined_rps,
         "speedup": pipelined_rps / sequential_rps,
-    }
-
-
-def bench_connections() -> dict:
-    """Idle keep-alive sockets held open against the asyncio backend.
-
-    The point of the event loop: a connection is a few kilobytes of
-    loop state, not a thread.  We hold ``CONNECTION_TARGET`` sockets
-    open at once and check (a) the server saw them all and still
-    answers requests, (b) its thread population stayed bounded by the
-    executor size — independent of the connection count.
-    """
-    # Each held connection costs two fds (client + server end of the
-    # loopback pair), plus headroom for the process itself.
-    soft = _raise_fd_limit(CONNECTION_TARGET * 2 + 512)
-    target = min(CONNECTION_TARGET, max(0, (soft - 256) // 2))
-
-    threads_before = threading.active_count()
-    with AsyncSweepServer(port=0, workers=ASYNC_WORKERS) as server:
-        client = ServiceClient(server.url)
-        client.health()  # warm the loop and the executor
-        sockets: list[socket.socket] = []
-        try:
-            for _ in range(target):
-                sockets.append(socket.create_connection((server.host, server.port)))
-            deadline = time.monotonic() + 30.0
-            while server.connection_count < target and time.monotonic() < deadline:
-                time.sleep(0.01)
-            registered = server.connection_count
-            thread_growth = threading.active_count() - threads_before
-            alive = client.health()["status"] == "ok"  # still answering
-        finally:
-            for sock in sockets:
-                sock.close()
-        client.close()
-    return {
-        "fd_soft_limit": soft,
-        "target": target,
-        "concurrent_connections": registered,
-        "thread_growth": thread_growth,
-        "workers": ASYNC_WORKERS,
-        "served_while_loaded": alive,
     }
 
 
@@ -307,27 +233,20 @@ def bench_dedup(server) -> dict:
 
 
 def run_bench(output_path: Path | None = None) -> dict:
-    latency: dict[str, dict] = {}
-    pipelining: dict[str, dict] = {}
-    for backend in ("thread", "asyncio"):
-        with _make_server(backend) as server:
-            latency[backend] = bench_latency(server)
-            pipelining[backend] = bench_pipelining(server)
-    connections = bench_connections()
     with SweepServer(port=0) as server:
+        latency = bench_latency(server)
+        pipelining = bench_pipelining(server)
         throughput = bench_throughput(server)
         dedup = bench_dedup(server)
     payload = {
         "bench": "service",
         "latency": latency,
         "pipelining": pipelining,
-        "connections": connections,
         "throughput": throughput,
         "dedup": dedup,
         "min_dedup_ratio": MIN_DEDUP_RATIO,
         "max_wire_overhead_ratio": MAX_WIRE_OVERHEAD_RATIO,
         "min_pipeline_speedup": MIN_PIPELINE_SPEEDUP,
-        "connection_target": CONNECTION_TARGET,
     }
     path = output_path or (default_results_dir() / "BENCH_service.json")
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -339,42 +258,22 @@ def run_bench(output_path: Path | None = None) -> dict:
 def _check_gates(payload: dict) -> list[str]:
     """Every failed gate as a human-readable line (empty means PASS)."""
     failures = []
-    for backend, latency in payload["latency"].items():
-        if latency["last_served"] != "memory":
-            failures.append(f"{backend}: warm request was not a memory hit")
-        if latency["protocol"] != "frame":
-            failures.append(f"{backend}: client fell back off the binary frame")
-        if latency["wire_overhead_ratio"] > MAX_WIRE_OVERHEAD_RATIO:
-            failures.append(
-                f"{backend}: wire overhead {latency['wire_overhead_ratio']:.2f}x "
-                f"direct exceeds {MAX_WIRE_OVERHEAD_RATIO}x"
-            )
-    pipe = payload["pipelining"]["asyncio"]
+    latency = payload["latency"]
+    if latency["last_served"] != "memory":
+        failures.append("warm request was not a memory hit")
+    if latency["protocol"] != "frame":
+        failures.append("client fell back off the binary frame")
+    if latency["wire_overhead_ratio"] > MAX_WIRE_OVERHEAD_RATIO:
+        failures.append(
+            f"wire overhead {latency['wire_overhead_ratio']:.2f}x "
+            f"direct exceeds {MAX_WIRE_OVERHEAD_RATIO}x"
+        )
+    pipe = payload["pipelining"]
     if pipe["speedup"] < MIN_PIPELINE_SPEEDUP:
         failures.append(
-            f"asyncio: pipelined speedup {pipe['speedup']:.2f}x "
+            f"pipelined speedup {pipe['speedup']:.2f}x "
             f"below {MIN_PIPELINE_SPEEDUP}x sequential"
         )
-    conn = payload["connections"]
-    if conn["target"] >= CONNECTION_TARGET:
-        if conn["concurrent_connections"] < CONNECTION_TARGET:
-            failures.append(
-                f"asyncio held {conn['concurrent_connections']} concurrent "
-                f"connections, below {CONNECTION_TARGET}"
-            )
-    else:  # the box's fd hard limit kept us from even trying
-        failures.append(
-            f"fd limit {conn['fd_soft_limit']} too low to attempt "
-            f"{CONNECTION_TARGET} connections (tried {conn['target']})"
-        )
-    if conn["thread_growth"] > conn["workers"] + 4:
-        failures.append(
-            f"asyncio grew {conn['thread_growth']} threads under "
-            f"{conn['concurrent_connections']} connections "
-            f"(bound: workers={conn['workers']} + 4)"
-        )
-    if not conn["served_while_loaded"]:
-        failures.append("asyncio stopped answering under idle connection load")
     if payload["dedup"]["dedup_ratio"] < MIN_DEDUP_RATIO:
         failures.append(
             f"dedup ratio {payload['dedup']['dedup_ratio']:.3f} "
@@ -398,21 +297,17 @@ if __name__ == "__main__":
     json.dump(report, sys.stdout, indent=2)
     print()
     failures = _check_gates(report)
-    for backend in ("thread", "asyncio"):
-        latency = report["latency"][backend]
-        pipe = report["pipelining"][backend]
-        print(
-            f"{backend}: warm {latency['warm_server_seconds'] * 1e3:.2f} ms "
-            f"({latency['protocol']}) vs direct "
-            f"{latency['warm_direct_seconds'] * 1e3:.2f} ms "
-            f"(wire {latency['wire_overhead_ratio']:.2f}x); "
-            f"pipelined {pipe['pipelined_rps']:.0f} req/s vs sequential "
-            f"{pipe['sequential_rps']:.0f} req/s ({pipe['speedup']:.2f}x)"
-        )
-    conn = report["connections"]
+    latency = report["latency"]
+    pipe = report["pipelining"]
     print(
-        f"asyncio held {conn['concurrent_connections']} idle connections "
-        f"(+{conn['thread_growth']} threads, {conn['workers']} workers); "
+        f"warm {latency['warm_server_seconds'] * 1e3:.2f} ms "
+        f"({latency['protocol']}) vs direct "
+        f"{latency['warm_direct_seconds'] * 1e3:.2f} ms "
+        f"(wire {latency['wire_overhead_ratio']:.2f}x); "
+        f"pipelined {pipe['pipelined_rps']:.0f} req/s vs sequential "
+        f"{pipe['sequential_rps']:.0f} req/s ({pipe['speedup']:.2f}x)"
+    )
+    print(
         f"dedup ratio {report['dedup']['dedup_ratio']:.3f}; "
         f"{report['throughput']['requests_per_second']:.0f} req/s sustained"
     )

@@ -4,9 +4,9 @@
 Starts an in-process `repro serve` daemon and walks the client surface:
 
 1. *Protocol negotiation* — the default client asks for the zero-copy
-   binary frame (`Accept: application/x-repro-frame`) and falls back
-   to base64-JSON transparently; both paths return bit-identical
-   arrays, and `/healthz` advertises what the daemon speaks.
+   binary frame (`Accept: application/x-repro-frame`), `binary=False`
+   asks for base64-JSON; both paths return bit-identical arrays, and
+   `/healthz` advertises what the daemon speaks.
 2. *Connection-pool knobs* — `pool_size` keep-alive sockets shared by
    threads, `retries`/`backoff_s` for transient transport errors, and
    the `retry_non_idempotent` opt-in that `RemoteSweepCache` uses for
@@ -14,11 +14,9 @@ Starts an in-process `repro serve` daemon and walks the client surface:
 3. *The wire tax* — warm-hit latency over the frame, over forced
    JSON, and for the direct in-process call, the numbers
    `benchmarks/bench_service.py` gates at ≤ 2x direct.
-4. *Pipelining on the asyncio backend* — the same daemon run on the
-   event-loop transport (`repro serve --backend asyncio`), with
-   `compute_many(pipeline=N)` writing N requests down one keep-alive
-   socket before reading the first response: identical bytes, fewer
-   round trips.
+4. *Pipelining* — `compute_many(pipeline=N)` writes N requests down
+   one keep-alive socket before reading the first response: identical
+   bytes, fewer round-trip waits.
 
 Run:  python examples/sweep_service.py
 """
@@ -29,7 +27,7 @@ import numpy as np
 
 from repro.batch import SweepCache, optimal_allocation_curve
 from repro.machines.catalog import PAPER_BUS
-from repro.service import AsyncSweepServer, RemoteSweepCache, ServiceClient, SweepServer
+from repro.service import RemoteSweepCache, ServiceClient, SweepServer
 from repro.service.schema import allocation_payload
 from repro.stencils.library import FIVE_POINT
 from repro.stencils.perimeter import PartitionKind
@@ -105,37 +103,33 @@ def wire_tax(server: SweepServer) -> None:
           f"json {(j - d) / d:.2f}x direct (gate: <= 2x)")
 
 
-def pipelining() -> None:
-    # The asyncio backend: same handlers, same bytes, but every socket
-    # is owned by one event loop (thousands of idle connections cost
-    # no threads) and pipelined requests are answered in order.
-    with AsyncSweepServer(port=0, batch_window_s=0.0) as server:
-        print(f"asyncio daemon: {server.url} "
-              f"(backend: {ServiceClient(server.url).health()['backend']})")
-        client = ServiceClient(server.url)
-        payloads = [
-            allocation_payload("paper-bus", "5-point", "square", SIDES[: 50 + i])
-            for i in range(32)
-        ]
-        for p in payloads:
-            client.compute(p)  # warm every entry; we time the wire, not compute
+def pipelining(server: SweepServer) -> None:
+    # The daemon reads pipelined requests one at a time and answers
+    # them in order; the client just stops waiting a round trip each.
+    client = ServiceClient(server.url)
+    payloads = [
+        allocation_payload("paper-bus", "5-point", "square", SIDES[: 50 + i])
+        for i in range(32)
+    ]
+    for p in payloads:
+        client.compute(p)  # warm every entry; we time the wire, not compute
 
-        start = time.perf_counter()
-        sequential = [client.compute(p) for p in payloads]
-        seq_s = time.perf_counter() - start
+    start = time.perf_counter()
+    sequential = [client.compute(p) for p in payloads]
+    seq_s = time.perf_counter() - start
 
-        start = time.perf_counter()
-        pipelined = client.compute_many(payloads, pipeline=16)
-        pipe_s = time.perf_counter() - start
+    start = time.perf_counter()
+    pipelined = client.compute_many(payloads, pipeline=16)
+    pipe_s = time.perf_counter() - start
 
-        identical = all(
-            ours["speedup"].tobytes() == theirs["speedup"].tobytes()
-            for ours, theirs in zip(pipelined, sequential)
-        )
-        print(f"32 warm requests: sequential {seq_s * 1e3:.1f} ms | "
-              f"pipelined (depth 16) {pipe_s * 1e3:.1f} ms "
-              f"({seq_s / pipe_s:.2f}x)")
-        print(f"pipelined answers bit-identical and in order: {identical}")
+    identical = all(
+        ours["speedup"].tobytes() == theirs["speedup"].tobytes()
+        for ours, theirs in zip(pipelined, sequential)
+    )
+    print(f"32 warm requests: sequential {seq_s * 1e3:.1f} ms | "
+          f"pipelined (depth 16) {pipe_s * 1e3:.1f} ms "
+          f"({seq_s / pipe_s:.2f}x)")
+    print(f"pipelined answers bit-identical and in order: {identical}")
 
 
 def main() -> None:
@@ -146,8 +140,8 @@ def main() -> None:
         pool_knobs(server)
         print()
         wire_tax(server)
-    print()
-    pipelining()
+        print()
+        pipelining(server)
 
 
 if __name__ == "__main__":

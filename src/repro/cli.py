@@ -681,9 +681,9 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
-    from repro.service import AsyncSweepServer, SweepServer
+    from repro.service import SweepServer
 
-    common = dict(
+    server = SweepServer(
         host=args.host,
         port=args.port,
         cache_dir=None if args.cache_dir is None else str(args.cache_dir),
@@ -693,26 +693,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         read_timeout_s=args.read_timeout,
         drain_timeout_s=args.drain_timeout,
     )
-    if args.backend == "asyncio":
-        # The asyncio backend installs its own SIGTERM/SIGINT handlers
-        # on the loop; serve_forever returns after drain + flush.
-        server: AsyncSweepServer | SweepServer = AsyncSweepServer(
-            workers=args.workers, **common
-        )
-    else:
-        server = SweepServer(**common)
 
-        # SIGTERM drains the same way ^C does: serve_forever unwinds
-        # through the KeyboardInterrupt path into close() below.
-        def _sigterm(signum: int, frame: object) -> None:
-            raise KeyboardInterrupt
+    # SIGTERM drains the same way ^C does: serve_forever unwinds
+    # through the KeyboardInterrupt path into close() below.
+    def _sigterm(signum: int, frame: object) -> None:
+        raise KeyboardInterrupt
 
-        signal.signal(signal.SIGTERM, _sigterm)
+    signal.signal(signal.SIGTERM, _sigterm)
     bound = "unbounded" if args.max_cache_mb is None else f"{args.max_cache_mb:g} MiB/tier"
     store = "memory only" if args.cache_dir is None else str(args.cache_dir)
-    print(
-        f"repro sweep server ({args.backend}) listening on {server.url}", flush=True
-    )
+    print(f"repro sweep server listening on {server.url}", flush=True)
     print(f"store: {store} ({bound}); GET /v1/stats for counters", flush=True)
     try:
         server.serve_forever()
@@ -929,19 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.005,
         help="seconds a cold request waits to micro-batch compatible traffic",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=("thread", "asyncio"),
-        default="thread",
-        help="transport: one thread per connection (thread) or one event "
-        "loop + a bounded compute pool (asyncio)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=8,
-        help="compute threads for --backend asyncio (shared by all connections)",
     )
     serve.add_argument(
         "--read-timeout",

@@ -11,20 +11,17 @@ function over JSON-over-HTTP with nothing beyond the standard library:
   stencil, partition kind, and tolerances, different grid axes — are
   micro-batched onto a single vectorized analysis call whose
   per-request slices are bit-identical to computing each alone.
-* :class:`AsyncSweepServer` (``repro serve --backend asyncio``) — the
-  same service core on an ``asyncio`` event loop: thousands of idle
-  keep-alive connections without per-connection threads, HTTP/1.1
-  pipelining with in-order responses and read backpressure, compute on
-  a bounded thread pool.  Responses are byte-identical to the threaded
-  backend's.
+* :class:`ServiceCore` — the socket-free request handler underneath:
+  ``(method, path, headers, body)`` in, a response out.  Tests drive it
+  without a network.
 * :class:`ServiceClient` — typed requests (allocation curves, capacity
   plans, raw sweeps) with exact ``float`` round-tripping, so a curve
   fetched from the daemon equals the offline computation byte for byte.
   Transport is a thread-safe keep-alive connection pool with stale-
   socket replay and bounded exponential-backoff retry; array responses
   negotiate the zero-copy binary frame (:mod:`repro.service.frame`,
-  ``Accept: application/x-repro-frame``) and fall back to base64-JSON
-  against older servers transparently.
+  ``Accept: application/x-repro-frame``); ``binary=False`` asks for
+  base64-JSON instead.
 * :class:`RemoteSweepCache` — a :class:`~repro.batch.SweepCache` whose
   slow tier is the daemon instead of a local directory; the experiment
   runner's ``--server`` routes every worker's sweeps through one warm,
@@ -47,7 +44,6 @@ response's ``served`` field says how (``memory``/``disk``/``coalesced``
 /``batched``/``computed``).
 """
 
-from repro.service.aserver import AsyncSweepServer
 from repro.service.client import RemoteSweepCache, ServiceClient, ServiceError
 from repro.service.frame import FRAME_CONTENT_TYPE, FrameError, decode_frame, encode_frame, frame_bytes
 from repro.service.schema import decode_arrays, encode_arrays
@@ -55,7 +51,6 @@ from repro.service.server import ServiceCore, SweepServer
 
 __all__ = [
     "FRAME_CONTENT_TYPE",
-    "AsyncSweepServer",
     "FrameError",
     "RemoteSweepCache",
     "ServiceClient",

@@ -18,10 +18,11 @@ exponential-backoff retry — on by default for the idempotent surface
 
 Protocol: array responses are negotiated per request.  The client sends
 ``Accept: application/x-repro-frame`` and branches on the response's
-``Content-Type`` — a new server answers with the zero-copy binary frame
-(:mod:`repro.service.frame`), an old server answers base64-JSON and the
-client decodes that instead, transparently.  ``last_protocol`` records
-which path the most recent compute took.
+``Content-Type``: the zero-copy binary frame
+(:mod:`repro.service.frame`) on success, a JSON envelope for errors or
+when ``binary=False`` asked for base64-JSON.  ``last_protocol`` records
+which path the most recent compute took.  Cache PUTs send a frame body
+unless ``binary=False``, in which case they send ``.npz``.
 
 Retries back off with *full jitter*: the nth retry sleeps a uniform
 random duration in ``[0, backoff_s * 2**n]`` rather than the
@@ -31,10 +32,10 @@ seeded :class:`random.Random` to keep the schedule exact.
 
 Pipelining: :meth:`ServiceClient.compute_many` sends up to ``pipeline``
 requests down one pooled keep-alive socket before reading the first
-response (HTTP/1.1 pipelining).  Against the asyncio backend the
-requests compute concurrently on the server's worker pool while the
-responses come back in order — one connection, no client threads, and
-the per-request round trip amortized across the window.
+response (HTTP/1.1 pipelining).  The server reads and answers them in
+order on the connection's thread; the client stops waiting a round
+trip per request — one connection, no client threads, and the
+per-request latency amortized across the window.
 """
 
 from __future__ import annotations
@@ -216,8 +217,8 @@ class ServiceClient:
         Off by default; safe to enable against the sweep daemon, whose
         cache PUTs are content-addressed and therefore replayable.
     binary:
-        Offer the zero-copy binary frame on array requests.  The JSON
-        fallback is automatic either way; ``binary=False`` forces it.
+        Use the zero-copy binary frame for array responses and cache
+        PUTs; ``binary=False`` uses base64-JSON and ``.npz`` instead.
     pipeline:
         Default HTTP/1.1 pipelining depth for :meth:`compute_many`:
         how many requests ride one socket before the first response is
@@ -259,10 +260,6 @@ class ServiceClient:
         self._pool = _ConnectionPool(
             split.hostname or "127.0.0.1", split.port or 80, timeout, pool_size
         )
-        self._lock = threading.Lock()
-        #: Does the server speak the binary frame?  None until observed;
-        #: flipped False when a frame PUT bounces off an old server.
-        self._server_frames: bool | None = None  # guarded-by: _lock
         #: How the server answered the most recent compute call —
         #: ``memory``/``disk``/``coalesced``/``batched``/``computed``.
         self.last_served: str | None = None
@@ -275,18 +272,6 @@ class ServiceClient:
         self._pool.close()
 
     # ------------------------------------------------------------- transport
-
-    def _note_frames(self, supported: bool) -> None:
-        with self._lock:
-            self._server_frames = supported
-
-    def _frames_unknown(self) -> bool:
-        with self._lock:
-            return self._server_frames is None
-
-    def _frames_usable(self) -> bool:
-        with self._lock:
-            return self._server_frames is not False
 
     def _retry_delay(self, attempt: int) -> float:
         """Full-jitter backoff: uniform over ``[0, backoff_s * 2**attempt]``.
@@ -414,7 +399,6 @@ class ServiceClient:
                 raise ServiceError(
                     str(meta.get("error", f"sweep server error {status}"))
                 )
-            self._note_frames(True)
             self.last_served = meta.get("served")
             self.last_protocol = "frame"
             return arrays
@@ -663,7 +647,6 @@ class ServiceClient:
             except FrameError:
                 # A torn response is a miss, same as a corrupt local file.
                 return None
-            self._note_frames(True)
             return arrays
         try:
             with np.load(io.BytesIO(body), allow_pickle=False) as npz:
@@ -672,28 +655,19 @@ class ServiceClient:
             return None
 
     def cache_put(self, key: str, arrays: Mapping[str, np.ndarray]) -> None:
-        if self.binary and self._frames_usable():
-            status, _ctype, _body = self._request(
-                f"/v1/cache/{key}",
-                frame_bytes(arrays),
-                method="PUT",
-                content_type=FRAME_CONTENT_TYPE,
-                idempotent=False,
-            )
-            if status == 200:
-                self._note_frames(True)
-                return
-            if not (status == 400 and self._frames_unknown()):
-                raise ServiceError(f"cache store failed ({status}) for {key}")
-            # An old server rejected the frame body: remember, fall back.
-            self._note_frames(False)
-        buffer = io.BytesIO()
-        np.savez(buffer, **dict(arrays))
+        if self.binary:
+            body = frame_bytes(arrays)
+            content_type = FRAME_CONTENT_TYPE
+        else:
+            buffer = io.BytesIO()
+            np.savez(buffer, **dict(arrays))
+            body = buffer.getvalue()
+            content_type = "application/octet-stream"
         status, _ctype, _body = self._request(
             f"/v1/cache/{key}",
-            buffer.getvalue(),
+            body,
             method="PUT",
-            content_type="application/octet-stream",
+            content_type=content_type,
             idempotent=False,
         )
         if status != 200:

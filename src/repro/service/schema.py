@@ -78,17 +78,12 @@ def decode_arrays(payload: Mapping[str, Any]) -> dict[str, np.ndarray]:
 
 
 # --------------------------------------------------------------------------
-# Response envelopes (server side, shared by both backends)
+# Response envelopes (server side)
 # --------------------------------------------------------------------------
 
 
 def json_body(payload: Mapping[str, Any]) -> bytes:
-    """One JSON response body, canonically serialized.
-
-    Both server backends build every JSON response through this one
-    function, so for the same payload their bodies are byte-identical —
-    the cross-backend parity suite rests on it.
-    """
+    """One JSON response body, canonically serialized."""
     return json.dumps(payload).encode("utf-8")
 
 

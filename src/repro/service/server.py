@@ -1,4 +1,4 @@
-"""The sweep server: one service core, pluggable HTTP transports.
+"""The sweep server: one service core behind a threaded HTTP transport.
 
 Request lifecycle for ``POST /v1/compute``:
 
@@ -33,42 +33,32 @@ Endpoints::
     POST /v1/compute          allocation_curve | plan | sweep |
                               sim_sweep | sim_validate requests
 
-Everything above lives in :class:`ServiceCore`, which is
-transport-agnostic: it turns ``(method, path, headers, body)`` into a
-:class:`Response` (status, content type, body chunks) and knows nothing
-about sockets.  Two transports drive it:
-
-* :class:`SweepServer` (this module) — the threaded backend: stdlib
-  ``ThreadingHTTPServer``, one OS thread per connection.  Simple,
-  battle-tested, and the right tool up to a few hundred connections.
-* :class:`~repro.service.aserver.AsyncSweepServer` — the ``asyncio``
-  backend: an event loop owns every socket (thousands of idle
-  keep-alive connections cost no threads), parses pipelined HTTP/1.1
-  requests incrementally, and offloads each request's compute to a
-  bounded worker pool.  Selected with ``repro serve --backend asyncio``.
-
-Because both backends call the same :class:`ServiceCore` methods with
-the same bytes, their response bodies are byte-identical and their
-``/v1/stats`` counters move identically for the same request stream —
-the cross-backend parity suite pins this.
+Everything above lives in :class:`ServiceCore`, which knows nothing
+about sockets: it turns ``(method, path, headers, body)`` into a
+:class:`Response` (status, content type, body chunks), so tests can
+drive it without a network.  :class:`SweepServer` puts it on the wire
+with the stdlib ``ThreadingHTTPServer``, one OS thread per connection.
 
 The handler speaks HTTP/1.1 with keep-alive: every response carries a
 ``Content-Length``, so a client can hold one connection open across
-requests instead of paying a TCP handshake per call.  Array-bearing
-responses are negotiated: a request whose ``Accept`` names
-``application/x-repro-frame`` gets the raw-bytes binary frame
-(:mod:`repro.service.frame`) — the arrays' buffers are written straight
-to the socket, no base64, no JSON number formatting — while everything
-else gets the original JSON encoding, byte-identical to older servers.
+requests instead of paying a TCP handshake per call, and may pipeline
+requests down it (they are read and answered in order).  Request
+bodies must be framed by a ``Content-Length`` of at most 256 MiB:
+a malformed length is a 400, an oversized one a 413, and a chunked
+body a 501, each answered before any body byte is read and followed
+by a hang-up.  Array-bearing responses are negotiated: a request
+whose ``Accept`` names ``application/x-repro-frame`` gets the
+raw-bytes binary frame (:mod:`repro.service.frame`) — the arrays'
+buffers are written straight to the socket, no base64, no JSON number
+formatting — while everything else gets the JSON encoding.
 
-Lifecycle: both backends drain gracefully.  ``close()`` (or SIGTERM via
-``repro serve``) stops accepting new connections, rejects new requests
-with a 503 while waiting up to ``drain_timeout_s`` for in-flight
-computes to finish and their responses to be written, then flushes the
-cache's memory tier to disk so a restart warm-starts.  Idle and
-half-open connections (a slowloris client sending half a header and
-stalling) are closed after ``read_timeout_s`` on both backends; the
-timeout is advertised in ``/healthz``.
+Lifecycle: ``close()`` (or SIGTERM via ``repro serve``) stops accepting
+new connections, rejects new requests with a 503 while waiting up to
+``drain_timeout_s`` for in-flight computes to finish and their
+responses to be written, then flushes the cache's memory tier to disk
+so a restart warm-starts.  Idle and half-open connections (a slowloris
+client sending half a header and stalling) are closed after
+``read_timeout_s``; the timeout is advertised in ``/healthz``.
 """
 
 from __future__ import annotations
@@ -127,7 +117,7 @@ DEFAULT_PORT = 8733
 
 #: Idle/half-open connections (a client that sent half a request header
 #: and stalled, or a keep-alive socket nobody uses) are closed after
-#: this many seconds on both backends — slowloris hardening.
+#: this many seconds — slowloris hardening.
 DEFAULT_READ_TIMEOUT_S = 60.0
 
 #: How long a graceful shutdown waits for in-flight requests to finish
@@ -193,14 +183,11 @@ class _Flight:
 
 
 class ServiceCore:
-    """The transport-agnostic sweep service: routing, cache, coalescing.
+    """The socket-free sweep service: routing, cache, coalescing.
 
-    Both backends — the threaded :class:`SweepServer` and the asyncio
-    :class:`~repro.service.aserver.AsyncSweepServer` — drive this one
-    class: :meth:`handle_request` turns ``(method, path, headers,
-    body)`` into a :class:`Response`, so the parse → fingerprint →
-    coalesce → micro-batch → serve path is shared verbatim and the two
-    backends cannot drift.
+    :meth:`handle_request` turns ``(method, path, headers, body)`` into
+    a :class:`Response`; :class:`SweepServer` is the transport that
+    feeds it from the network, and tests drive it directly.
 
     Parameters
     ----------
@@ -222,7 +209,7 @@ class ServiceCore:
         in-flight requests before giving up.
     """
 
-    #: Transport name advertised in ``/healthz`` — subclasses override.
+    #: Transport name advertised in ``/healthz``.
     backend = "core"
 
     def __init__(
@@ -280,7 +267,7 @@ class ServiceCore:
             return True
 
     def end_request(self) -> None:
-        """The matching exit: transports call this after the response."""
+        """The matching exit: the transport calls this after the response."""
         with self._inflight_cv:
             self._inflight -= 1
             if self._inflight == 0:
@@ -706,9 +693,9 @@ class ServiceCore:
     ) -> Response:
         """Route one HTTP request; never raises.
 
-        ``headers`` uses lower-case keys (both transports normalize).
-        This is the single entry point both backends call — typically
-        from a worker thread, so everything here must stay thread-safe.
+        ``headers`` uses lower-case keys.  The transport calls this from
+        one thread per connection, so everything here must stay
+        thread-safe.
         """
         try:
             if method == "GET":
@@ -723,8 +710,8 @@ class ServiceCore:
 
     def _handle_get(self, path: str, headers: Mapping[str, str]) -> Response:
         if path == "/healthz":
-            # ``protocols`` is the negotiation advertisement: a client
-            # probing an old server will not find "frame" here.
+            # ``protocols`` lists the array encodings ``Accept`` can
+            # negotiate.
             return self._respond_json(
                 {
                     "status": "ok",
@@ -797,11 +784,10 @@ class ServiceCore:
 
 
 class SweepServer(ServiceCore):
-    """``repro serve --backend thread``: the threaded transport.
+    """``repro serve``: the service core on a threaded HTTP transport.
 
-    One OS thread per connection on stdlib ``ThreadingHTTPServer``; the
-    default backend.  All request semantics live in the shared
-    :class:`ServiceCore` base.
+    One OS thread per connection on stdlib ``ThreadingHTTPServer``.
+    All request semantics live in the :class:`ServiceCore` base.
 
     Parameters
     ----------
@@ -902,6 +888,9 @@ class SweepServer(ServiceCore):
 #: memcpy.
 _GATHER_BYTES = 256 * 1024
 
+#: Largest accepted request body (cache PUTs of big sweeps included).
+_MAX_BODY_BYTES = 256 * 2**20
+
 
 class _Handler(BaseHTTPRequestHandler):
     """Thin adapter: socket + HTTP parsing in, ``ServiceCore`` out."""
@@ -943,8 +932,40 @@ class _Handler(BaseHTTPRequestHandler):
             for chunk in response.chunks:
                 self.wfile.write(chunk)
 
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _read_body(self) -> bytes | Response:
+        """The request body, or the error response refusing to read it.
+
+        Checked before any body byte is read or buffer allocated: a
+        header line without a colon (400; the stdlib would silently end
+        the head there and drop the headers after it), a chunked body
+        (501), conflicting ``Content-Length`` headers or one that is not
+        a non-negative decimal integer (400), or one over
+        ``_MAX_BODY_BYTES`` (413).  The unread body leaves the stream
+        unframed, so each refusal also closes the connection.
+        """
+        if self.headers.defects:
+            return self.app.error_response(
+                "malformed header line in the request head", 400, close=True
+            )
+        if "chunked" in self.headers.get("Transfer-Encoding", "").lower():
+            return self.app.error_response(
+                "chunked request bodies are not supported", 501, close=True
+            )
+        lengths = {value.strip() for value in self.headers.get_all("Content-Length", [])}
+        if len(lengths) > 1:
+            return self.app.error_response(
+                "conflicting Content-Length headers", 400, close=True
+            )
+        raw = lengths.pop() if lengths else "0"
+        if not (raw.isascii() and raw.isdigit()):
+            return self.app.error_response(
+                f"bad Content-Length {raw!r}", 400, close=True
+            )
+        length = int(raw)
+        if length > _MAX_BODY_BYTES:
+            return self.app.error_response(
+                "request body exceeds the 256 MiB limit", 413, close=True
+            )
         return self.rfile.read(length)
 
     # --------------------------------------------------------------- methods
@@ -958,8 +979,11 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             body = self._read_body()
-            headers = {key.lower(): value for key, value in self.headers.items()}
-            response = self.app.handle_request(method, self.path, headers, body)
+            if isinstance(body, Response):
+                response = body
+            else:
+                headers = {key.lower(): value for key, value in self.headers.items()}
+                response = self.app.handle_request(method, self.path, headers, body)
             self._write_response(response)
         except TimeoutError:
             # A client stalled mid-body: close quietly, like the

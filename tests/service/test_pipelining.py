@@ -2,8 +2,7 @@
 
 Pipelining is only worth having if it is invisible except in the
 timing: the results must be bit-identical to sequential ``compute()``
-calls, in request order, against either backend, whatever the
-client-side depth or the server-side ``max_pipeline`` cap.  These
+calls, in request order, whatever the client-side depth.  These
 tests pin that, plus the failure surface — a rejected request raises
 naming its index without poisoning the connection, and a stale pooled
 socket replays the whole batch invisibly (``/v1/compute`` is pure).
@@ -16,10 +15,9 @@ import socket
 import numpy as np
 import pytest
 
-from repro.service import AsyncSweepServer, ServiceClient, ServiceError, SweepServer
+from repro.service import ServiceClient, ServiceError, SweepServer
 from repro.service.schema import allocation_payload
 
-BACKENDS = {"thread": SweepServer, "asyncio": AsyncSweepServer}
 SIDES = list(range(64, 256, 16))
 
 
@@ -37,51 +35,59 @@ def _assert_same_arrays(ours: dict, theirs: dict) -> None:
         assert ours[name].tobytes() == theirs[name].tobytes()
 
 
-@pytest.fixture(params=sorted(BACKENDS))
-def server(request):
-    with BACKENDS[request.param](port=0, batch_window_s=0.0) as srv:
+@pytest.fixture()
+def server():
+    with SweepServer(port=0, batch_window_s=0.0) as srv:
         yield srv
 
 
+# The pipelined path negotiates the response encoding per request like
+# the sequential one, so every test runs under both of the client's
+# wire formats: the binary frame and the ``binary=False`` base64-JSON.
+@pytest.fixture(params=[True, False], ids=["frame", "json"])
+def binary(request):
+    return request.param
+
+
 class TestPipelinedResults:
-    def test_depth_one_is_the_sequential_path(self, server):
-        client = ServiceClient(server.url)
+    def test_depth_one_is_the_sequential_path(self, server, binary):
+        client = ServiceClient(server.url, binary=binary)
         payloads = _payloads(3)
         results = client.compute_many(payloads, pipeline=1)
         expected = [client.compute(p) for p in payloads]
         for ours, theirs in zip(results, expected):
             _assert_same_arrays(ours, theirs)
 
-    def test_pipelined_results_are_bit_identical_to_sequential(self, server):
-        client = ServiceClient(server.url, pipeline=8)
+    def test_pipelined_results_are_bit_identical_to_sequential(self, server, binary):
+        client = ServiceClient(server.url, pipeline=8, binary=binary)
         payloads = _payloads(12)
         pipelined = client.compute_many(payloads)
         sequential = [client.compute(p) for p in payloads]
         for ours, theirs in zip(pipelined, sequential):
             _assert_same_arrays(ours, theirs)
 
-    def test_responses_come_back_in_request_order(self, server):
+    def test_responses_come_back_in_request_order(self, server, binary):
         # Each payload has a distinct curve length, so a reordered
         # response stream cannot masquerade as correct.
-        client = ServiceClient(server.url)
+        client = ServiceClient(server.url, binary=binary)
         payloads = _payloads(10)
         results = client.compute_many(payloads, pipeline=10)
         for payload, arrays in zip(payloads, results):
             assert arrays["speedup"].shape == (len(payload["grid_sides"]),)
 
-    def test_frame_protocol_is_used_on_the_pipelined_path(self, server):
-        client = ServiceClient(server.url)
+    def test_negotiated_protocol_is_used_on_the_pipelined_path(self, server, binary):
+        client = ServiceClient(server.url, binary=binary)
         client.compute_many(_payloads(4), pipeline=4)
-        assert client.last_protocol == "frame"
+        assert client.last_protocol == ("frame" if binary else "json")
 
 
 class TestDepthVersusServerCap:
-    def test_client_depth_beyond_server_max_pipeline_still_drains(self):
-        # A 32-deep client burst against a server that pauses reading
-        # at 4 queued responses: backpressure (pause_reading/resume)
-        # must stall the writer, not deadlock or drop requests.
-        with AsyncSweepServer(port=0, max_pipeline=4, batch_window_s=0.0) as srv:
-            client = ServiceClient(srv.url)
+    def test_client_depth_beyond_server_max_pipeline_still_drains(self, binary):
+        # A 32-deep client burst against a server that reads one
+        # request at a time: the backlog queues in the socket buffers
+        # and must drain in order, not deadlock or drop requests.
+        with SweepServer(port=0, batch_window_s=0.0) as srv:
+            client = ServiceClient(srv.url, binary=binary)
             payloads = _payloads(32)
             results = client.compute_many(payloads, pipeline=32)
             assert len(results) == 32
@@ -90,10 +96,10 @@ class TestDepthVersusServerCap:
 
 
 class TestPipelineFailures:
-    def test_rejected_request_names_its_index(self, server):
+    def test_rejected_request_names_its_index(self, server, binary):
         payloads = _payloads(5)
         payloads[2] = {"kind": "allocation_curve", "machine": "no-such-machine"}
-        client = ServiceClient(server.url)
+        client = ServiceClient(server.url, binary=binary)
         with pytest.raises(ServiceError, match="pipelined request 2 of 5"):
             client.compute_many(payloads, pipeline=5)
         # A 400 is an application answer, not a transport failure: the
@@ -102,8 +108,8 @@ class TestPipelineFailures:
         good = _payloads(3)
         assert len(client.compute_many(good, pipeline=3)) == 3
 
-    def test_stale_pooled_socket_replays_the_whole_batch(self, server):
-        client = ServiceClient(server.url, retries=0)
+    def test_stale_pooled_socket_replays_the_whole_batch(self, server, binary):
+        client = ServiceClient(server.url, retries=0, binary=binary)
         client.compute_many(_payloads(2), pipeline=2)  # park a pooled socket
         with client._pool._lock:
             (idle,) = client._pool._idle
@@ -115,13 +121,13 @@ class TestPipelineFailures:
         for ours, theirs in zip(results, sequential):
             _assert_same_arrays(ours, theirs)
 
-    def test_empty_batch_is_a_no_op(self, server):
-        assert ServiceClient(server.url).compute_many([]) == []
+    def test_empty_batch_is_a_no_op(self, server, binary):
+        assert ServiceClient(server.url, binary=binary).compute_many([]) == []
 
 
 class TestWarmHitsStayWarm:
-    def test_pipelined_repeats_hit_the_cache(self, server):
-        client = ServiceClient(server.url)
+    def test_pipelined_repeats_hit_the_cache(self, server, binary):
+        client = ServiceClient(server.url, binary=binary)
         payload = allocation_payload("paper-bus", "5-point", "square", SIDES)
         client.compute(payload)  # seed
         before = client.stats()["counters"]["hits"]

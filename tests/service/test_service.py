@@ -8,36 +8,34 @@ import pytest
 
 from repro.batch import optimal_allocation_curve, run_sweep, SweepSpec
 from repro.machines.catalog import DEFAULT_MACHINES, FLEX32, PAPER_BUS
-from repro.service import (
-    AsyncSweepServer,
-    RemoteSweepCache,
-    ServiceClient,
-    ServiceError,
-    SweepServer,
+from repro.service import RemoteSweepCache, ServiceClient, ServiceError, SweepServer
+from repro.service.schema import (
+    allocation_payload,
+    decode_arrays,
+    encode_arrays,
+    plan_payload,
+    sim_sweep_payload,
 )
-from repro.service.schema import decode_arrays, encode_arrays
 from repro.stencils.library import FIVE_POINT, NINE_POINT_BOX
 from repro.stencils.perimeter import PartitionKind
 
 SQUARE = PartitionKind.SQUARE
 SIDES = list(range(64, 512, 16))
 
-BACKENDS = {"thread": SweepServer, "asyncio": AsyncSweepServer}
 
-
-# The whole suite runs against BOTH transports: every behaviour below —
-# wire fidelity, coalescing, micro-batching, bounds, the shared-store
-# tier — is a property of the shared ServiceCore, and the backends must
-# be indistinguishable through it.
-@pytest.fixture(params=sorted(BACKENDS))
-def server(request):
-    with BACKENDS[request.param](port=0) as srv:
+@pytest.fixture()
+def server():
+    with SweepServer(port=0) as srv:
         yield srv
 
 
-@pytest.fixture()
-def client(server):
-    return ServiceClient(server.url)
+# Every client-level behaviour below runs through both of the client's
+# wire formats: the binary frame (and frame PUTs) by default, and the
+# explicit ``binary=False`` path of base64-JSON responses and ``.npz``
+# PUTs.  The arrays must come back bit-identical either way.
+@pytest.fixture(params=[True, False], ids=["frame", "json"])
+def client(request, server):
+    return ServiceClient(server.url, binary=request.param)
 
 
 class TestSchema:
@@ -400,6 +398,48 @@ class TestSharedStoreTier:
         # multi-process reports aggregate true hit totals.
         assert second.stats.snapshot()["disk_hits"] == 1
         assert second.stats.snapshot()["misses"] == 0
+
+
+class TestWireFormatParity:
+    def test_bodies_and_counters_are_identical_across_wire_formats(self, server):
+        payloads = [
+            allocation_payload("paper-bus", "5-point", "square", SIDES),
+            plan_payload("paper-bus", 256),
+            sim_sweep_payload("flex32", 20, 4, replicas=8),
+        ]
+        frame = ServiceClient(server.url)
+        legacy = ServiceClient(server.url, binary=False)
+        for payload in payloads:
+            ours = frame.compute(payload)
+            served = frame.last_served
+            theirs = legacy.compute(payload)
+            assert (frame.last_protocol, legacy.last_protocol) == ("frame", "json")
+            assert served == "computed" and legacy.last_served == "memory"
+            assert sorted(ours) == sorted(theirs)
+            for name in ours:
+                assert ours[name].dtype == theirs[name].dtype
+                assert ours[name].tobytes() == theirs[name].tobytes()
+        counters = frame.stats()["counters"]
+        assert counters["requests"] == 2 * len(payloads)
+        assert counters["hits"] == len(payloads)
+
+    def test_cache_tier_round_trips_identically(self, server):
+        arrays = {
+            "x": np.linspace(0, 1, 33),
+            "n": np.arange(5, dtype=np.int64),
+            "names": np.asarray(["one", "interior"]),
+        }
+        frame = ServiceClient(server.url)
+        legacy = ServiceClient(server.url, binary=False)
+        frame.cache_put("a" * 64, arrays)  # frame PUT
+        legacy.cache_put("b" * 64, arrays)  # .npz PUT
+        for reader in (frame, legacy):
+            for key in ("a" * 64, "b" * 64):
+                back = reader.cache_get(key)
+                assert back is not None and sorted(back) == sorted(arrays)
+                for name in arrays:
+                    assert back[name].dtype == arrays[name].dtype
+                    np.testing.assert_array_equal(back[name], arrays[name])
 
 
 class TestBoundedServerCache:
