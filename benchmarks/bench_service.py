@@ -214,18 +214,16 @@ def bench_dedup(server) -> dict:
     requests = after["counters"]["requests"] - before["counters"]["requests"]
     computed = after["counters"]["computed"] - before["counters"]["computed"]
     coalesced = after["counters"]["coalesced"] - before["counters"]["coalesced"]
-    batched = after["counters"]["batched"] - before["counters"]["batched"]
     # Compute-path hits only — the same numerator /v1/stats reports, so
     # the gated ratio matches what an operator sees.
     hits = after["counters"]["hits"] - before["counters"]["hits"]
-    deduplicated = hits + coalesced + batched
+    deduplicated = hits + coalesced
     return {
         "clients": CLIENTS,
         "rounds": ROUNDS,
         "requests": requests,
         "computed": computed,
         "coalesced": coalesced,
-        "batched": batched,
         "cache_hits": hits,
         "dedup_ratio": deduplicated / requests if requests else 0.0,
         "elapsed_seconds": elapsed,

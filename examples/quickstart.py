@@ -209,8 +209,8 @@ def main() -> None:
     # ------------------------------------------------- the sweep server
     # `python -m repro serve` runs this daemon standalone; here it runs
     # on a background thread with an ephemeral port.  Identical
-    # concurrent requests coalesce onto one compute, compatible
-    # requests of any family micro-batch onto one planner-fused call, and
+    # concurrent requests coalesce onto one compute, every other cold
+    # request is computed at once in its own thread, and
     # --max-cache-mb (max_cache_mb=) keeps the store LRU-bounded.
     # Responses are byte-identical to computing offline.
     from repro.service import ServiceClient, SweepServer

@@ -1,9 +1,10 @@
 """fingerprint-purity: the cache's key paths must be deterministic.
 
 Every consumer of :class:`~repro.batch.cache.SweepCache` — the analysis
-layer, the service daemon, the graph planner, sharded workers — shares
-results purely because :func:`~repro.batch.cache.fingerprint` is a pure
-function of the request.  One reach into nondeterminism (wall clock,
+layer, the service daemon, the graph planner, the runner's worker
+processes — shares results purely because
+:func:`~repro.batch.cache.fingerprint` is a pure function of the
+request.  One reach into nondeterminism (wall clock,
 unseeded RNG, environment, ``id()``-carrying default ``repr``) and two
 processes disagree about what a request is named: silent duplicate
 compute at best, a wrong answer served from someone else's entry at

@@ -142,8 +142,9 @@ def _allocation_request(
 ) -> tuple:
     """The cache fingerprint request for one allocation-curve call.
 
-    Shared by :func:`optimal_allocation_curve` and the sharded evaluator
-    so both paths hit the same cache entries.
+    Built by :func:`repro.graph.nodes.allocation_curve`, so every path
+    to an allocation curve — eager, planned, served — hits the same
+    cache entries.
     """
     return (
         "optimal_allocation_curve",

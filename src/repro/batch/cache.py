@@ -8,7 +8,7 @@ two-level:
 
 * an in-process dictionary (hit cost: one dict lookup), and
 * an optional on-disk ``.npz`` store under ``cache_dir`` that survives
-  process restarts and is shared by sharded workers.
+  process restarts and is shared by the runner's worker processes.
 
 Keys are SHA-256 digests of a canonical encoding of the request
 (dataclass fields, enum values, array bytes), so two requests collide
@@ -318,10 +318,10 @@ class CacheStats:
     def merge(self, other: "CacheStats | Mapping[str, object]") -> "CacheStats":
         """Add another cache's counters (a worker's snapshot) into this one.
 
-        Multi-process paths — sharded workers, runner pools, the sweep
-        service — each count in their own process; aggregating their
-        snapshots is how a report shows the true totals instead of
-        silently dropping worker activity.
+        Multi-process paths — runner pools, the sweep service — each
+        count in their own process; aggregating their snapshots is how
+        a report shows the true totals instead of silently dropping
+        worker activity.
         """
         counts = other.snapshot() if isinstance(other, CacheStats) else other
         self.memory_hits += int(counts.get("memory_hits", 0))
@@ -362,8 +362,8 @@ class SweepCache:
 
     Values are mappings from array name to ``np.ndarray`` — exactly what
     the analysis layer's curve objects serialize to.  Disk writes are
-    atomic (write to a temp file, then rename), so concurrent sharded
-    workers sharing one ``cache_dir`` never observe torn files; temp
+    atomic (write to a temp file, then rename), so concurrent worker
+    processes sharing one ``cache_dir`` never observe torn files; temp
     files orphaned by a worker that crashed mid-write are swept the
     next time a cache opens the directory.
 
@@ -658,7 +658,7 @@ def configure_default_cache(
     Analysis functions called without an explicit ``cache=`` use this
     one; until configured, they compute directly.  The experiment
     runner's ``--cache-dir`` and the CLI's ``--cache-dir`` both route
-    here, including in sharded worker processes.
+    here, including in the runner's worker processes.
     """
     global _DEFAULT_CACHE
     _DEFAULT_CACHE = SweepCache(cache_dir, max_bytes=max_bytes)

@@ -20,15 +20,14 @@ Subcommands
 ``optimize`` and ``plan`` also run in whole-curve mode: ``--grid
 LO:HI[:STEP]`` (or an explicit comma list) sweeps the axis through the
 vectorized analysis layer and ``--cache-dir`` serves repeats from the
-content-addressed sweep cache (``--max-cache-mb`` bounds it);
-``optimize`` additionally accepts ``--jobs`` to shard large axes over a
-process pool.  With ``--server URL`` both commands route through a
-running ``repro serve`` daemon instead of computing locally — the
-output is byte-identical either way.  Both commands also take
-``--explain`` (print the optimized sweep graph — nodes, fusion groups,
-cache hits — without executing anything) and ``--executor`` (pick the
-graph backend: the default vectorized ``numpy`` executor or the scalar
-``oracle`` reference; the rendered bytes are identical on both).
+content-addressed sweep cache (``--max-cache-mb`` bounds it).  With
+``--server URL`` both commands route through a running ``repro serve``
+daemon instead of computing locally — the output is byte-identical
+either way.  Both commands also take ``--explain`` (print the optimized
+sweep graph — nodes, fusion groups, cache hits — without executing
+anything) and ``--executor`` (pick the graph backend: the default
+vectorized ``numpy`` executor or the scalar ``oracle`` reference; the
+rendered bytes are identical on both).
 
 Examples::
 
@@ -107,9 +106,9 @@ def _reject_server_plus_cache(
     """Fail fast on flags that do nothing once a daemon owns the work.
 
     ``experiments --server`` passes ``locally_meaningful`` for the flags
-    that still act in this process — ``--jobs`` sizes the worker pool
-    and ``--max-cache-mb`` bounds each worker's memory tier — while for
-    ``optimize``/``plan`` the daemon owns store, bound, and sharding.
+    that still act in this process — ``--max-cache-mb`` bounds each
+    worker's memory tier — while for ``optimize``/``plan`` the daemon
+    owns the store and its bound.
     """
     if not getattr(args, "server", None):
         if getattr(args, "executor", "numpy") != "numpy":
@@ -132,11 +131,6 @@ def _reject_server_plus_cache(
         raise InvalidParameterError(
             "--max-cache-mb has no effect with --server here: bound the "
             "daemon's store instead (`repro serve --max-cache-mb ...`)"
-        )
-    if getattr(args, "jobs", 1) != 1 and "jobs" not in locally_meaningful:
-        raise InvalidParameterError(
-            "--jobs has no effect with --server here: the daemon shards "
-            "large axes itself (`repro serve --jobs ...`)"
         )
     if getattr(args, "explain", False):
         raise InvalidParameterError(
@@ -351,42 +345,22 @@ def _optimize_grid(args: argparse.Namespace, machine, kind: PartitionKind) -> in
         )
         _render_allocation_curve(args, kind, curve, len(sides))
         return 0
+    from repro.batch.analysis import AllocationCurve
+    from repro.graph import nodes as graph_nodes
+    from repro.graph.planner import evaluate as graph_evaluate
+
     cache = _open_cache(args.cache_dir, args.max_cache_mb)
-    if args.executor != "numpy":
-        if args.jobs != 1:
-            raise InvalidParameterError(
-                "--jobs shards the numpy executor only; drop it with "
-                f"--executor {args.executor}"
-            )
-        from repro.batch.analysis import AllocationCurve
-        from repro.graph import nodes as graph_nodes
-        from repro.graph.planner import evaluate as graph_evaluate
-
-        node = graph_nodes.allocation_curve(
-            machine,
-            stencil_by_name(args.stencil),
-            kind,
-            sides,
-            t_flop=args.t_flop,
-            max_processors=args.max_processors,
-            integer=True,
-        )
-        arrays = graph_evaluate([node], cache=cache, executor=args.executor)[0]
-        curve = AllocationCurve.from_arrays(arrays, kind)
-    else:
-        from repro.batch import sharded_allocation_curve
-
-        curve = sharded_allocation_curve(
-            machine,
-            stencil_by_name(args.stencil),
-            kind,
-            sides,
-            t_flop=args.t_flop,
-            max_processors=args.max_processors,
-            integer=True,
-            jobs=args.jobs,
-            cache=cache,
-        )
+    node = graph_nodes.allocation_curve(
+        machine,
+        stencil_by_name(args.stencil),
+        kind,
+        sides,
+        t_flop=args.t_flop,
+        max_processors=args.max_processors,
+        integer=True,
+    )
+    arrays = graph_evaluate([node], cache=cache, executor=args.executor)[0]
+    curve = AllocationCurve.from_arrays(arrays, kind)
     _render_allocation_curve(args, kind, curve, len(sides))
     if cache is not None:
         print()
@@ -667,7 +641,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         for exp_id in sorted(all_experiments()):
             print(exp_id)
         return 0
-    _reject_server_plus_cache(args, locally_meaningful=("jobs", "max_cache_mb"))
+    _reject_server_plus_cache(args, locally_meaningful=("max_cache_mb",))
     return run_and_report(
         args.output,
         args.ids or None,
@@ -688,8 +662,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         cache_dir=None if args.cache_dir is None else str(args.cache_dir),
         max_cache_mb=args.max_cache_mb,
-        jobs=args.jobs,
-        batch_window_s=args.batch_window,
         read_timeout_s=args.read_timeout,
         drain_timeout_s=args.drain_timeout,
     )
@@ -754,9 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="LRU bound per cache tier (MiB); default unbounded",
-    )
-    opt.add_argument(
-        "--jobs", type=int, default=1, help="shard large --grid axes over N workers"
     )
     opt.add_argument(
         "--server",
@@ -910,15 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="LRU bound per cache tier (MiB); default unbounded",
-    )
-    serve.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for large batched axes"
-    )
-    serve.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.005,
-        help="seconds a cold request waits to micro-batch compatible traffic",
     )
     serve.add_argument(
         "--read-timeout",

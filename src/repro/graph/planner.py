@@ -15,8 +15,7 @@ requests and produces an executable :class:`Plan` in three passes:
    axis differs) are grouped onto one vectorized evaluation over the
    sorted union of their axes.  Every family here is elementwise in its
    axis, so slicing members back out by ``searchsorted`` is
-   bit-identical to solo evaluation — the same invariant the service's
-   allocation micro-batcher has always relied on, now for every family.
+   bit-identical to solo evaluation.
 
 :meth:`Plan.execute` runs the fusion groups on the chosen
 :class:`~repro.graph.executors.Executor`, stores each member slice
@@ -243,10 +242,9 @@ def plan(
     """Optimize a node forest into an executable :class:`Plan`.
 
     ``lookup=False`` skips the cache probe (results still *store* under
-    their fingerprints) — the sweep service uses it for batch leaders
-    whose members were each already counted as a miss by the request
-    pipeline, keeping daemon-side hit/miss totals identical to the
-    offline path.
+    their fingerprints) — the sweep service uses it for a cold request
+    whose miss its request pipeline already counted, keeping
+    daemon-side hit/miss totals identical to the offline path.
 
     ``stats`` overrides where planner counters land; by default they go
     to ``cache.stats`` (or nowhere when there is no cache).

@@ -7,10 +7,8 @@ function over JSON-over-HTTP with nothing beyond the standard library:
 * :class:`SweepServer` (``repro serve``) — a threaded daemon holding
   one shared, size-bounded :class:`repro.batch.SweepCache`.  Identical
   concurrent requests coalesce on their cache fingerprint (one compute,
-  many answers), and *compatible* allocation requests — same machine,
-  stencil, partition kind, and tolerances, different grid axes — are
-  micro-batched onto a single vectorized analysis call whose
-  per-request slices are bit-identical to computing each alone.
+  many answers); every other cold request is computed at once in its
+  own thread, bit-identical to the offline analysis layer.
 * :class:`ServiceCore` — the socket-free request handler underneath:
   ``(method, path, headers, body)`` in, a response out.  Tests drive it
   without a network.
@@ -41,7 +39,7 @@ Usage::
 
 The server answers from the shared cache whenever it can; the
 response's ``served`` field says how (``memory``/``disk``/``coalesced``
-/``batched``/``computed``).
+/``computed``).
 """
 
 from repro.service.client import RemoteSweepCache, ServiceClient, ServiceError

@@ -261,7 +261,7 @@ class ServiceClient:
             split.hostname or "127.0.0.1", split.port or 80, timeout, pool_size
         )
         #: How the server answered the most recent compute call —
-        #: ``memory``/``disk``/``coalesced``/``batched``/``computed``.
+        #: ``memory``/``disk``/``coalesced``/``computed``.
         self.last_served: str | None = None
         #: Which wire encoding the most recent array response used —
         #: ``"frame"`` or ``"json"``.

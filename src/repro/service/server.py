@@ -10,19 +10,13 @@ Request lifecycle for ``POST /v1/compute``:
    :class:`~repro.batch.SweepCache` (``served: memory|disk``).
 3. A miss consults the in-flight table: an identical request already
    computing means *wait, don't recompute* (``served: coalesced``).
-4. Cold requests then enter the micro-batcher, which is the sweep-graph
-   planner (:mod:`repro.graph`): each request is a lazy
-   :class:`~repro.graph.nodes.Node`, and nodes that land within one
-   batching window and share a fusion-compatibility fingerprint — same
-   family, machine closed form, stencil, partition kind, scalars; only
-   the axis differs — are planned together and fused onto a single
-   vectorized evaluation over the union axis.  Every family batches
-   this way (allocation curves *and* whole sweeps), not just
-   allocations.  Each requester gets its own slice, stored under its
-   own fingerprint (``served: batched`` for riders, ``computed`` for
-   the one thread that did the work).  Slices are bit-identical to
-   computing each request alone — every fusable family is elementwise
-   in its axis.
+4. Otherwise the request's thread computes it at once: its lazy
+   :class:`~repro.graph.nodes.Node` goes through the sweep-graph
+   planner (:mod:`repro.graph`) as a one-node plan, whose execution
+   stores the result under the request's fingerprint exactly once
+   (``served: computed``) and moves the ``/v1/stats`` planner
+   counters.  The answer is bit-identical to the offline
+   :func:`repro.graph.evaluate` path.
 
 Endpoints::
 
@@ -78,7 +72,6 @@ from repro.batch.cache import SweepCache, fingerprint, max_cache_bytes
 from repro.batch.engine import SweepSpec
 from repro.errors import InvalidParameterError, ReproError
 from repro.graph import nodes as graph_nodes
-from repro.graph.executors import NumpyExecutor
 from repro.graph.nodes import Node
 from repro.graph.planner import plan as plan_graph
 from repro.service.frame import (
@@ -127,11 +120,6 @@ DEFAULT_DRAIN_TIMEOUT_S = 10.0
 #: Fingerprints are SHA-256 hex digests; anything else never names a
 #: cache entry and must not reach the filesystem layer.
 _KEY_RE = re.compile(r"^[0-9a-f]{64}$")
-
-#: Union axes at least this long are worth sharding over the server's
-#: worker pool (mirrors repro.batch.shard.MIN_CHUNK economics); handed
-#: to the NumPy executor as its shard threshold.
-_SHARD_THRESHOLD = 256
 
 #: Request-body → fingerprint memo entries kept (LRU).  Bodies are a
 #: few KiB, so the memo is ~1–2 MiB at the cap — cheap insurance that a
@@ -194,13 +182,9 @@ class ServiceCore:
     cache_dir, max_cache_mb:
         The shared store: optional ``.npz`` directory and the per-tier
         LRU bound (MiB) — both forwarded to :class:`SweepCache`.
-    jobs:
-        Worker processes for sharding large micro-batched axes; 1 keeps
-        every compute in the serving thread.
-    batch_window_s:
-        How long the first cold allocation request of a compatible
-        group waits for co-batchable traffic before computing.  Zero
-        disables micro-batching (coalescing still applies).
+    compute_timeout_s:
+        How long a request waits for an identical in-flight twin to
+        finish computing before failing.
     read_timeout_s:
         Idle/half-open connections are closed after this many seconds
         (slowloris hardening); advertised in ``/healthz``.
@@ -216,15 +200,11 @@ class ServiceCore:
         self,
         cache_dir: str | None = None,
         max_cache_mb: float | None = None,
-        jobs: int = 1,
-        batch_window_s: float = 0.005,
         compute_timeout_s: float = 600.0,
         read_timeout_s: float = DEFAULT_READ_TIMEOUT_S,
         drain_timeout_s: float = DEFAULT_DRAIN_TIMEOUT_S,
     ) -> None:
         self.cache = SweepCache(cache_dir, max_bytes=max_cache_bytes(max_cache_mb))
-        self.jobs = max(1, int(jobs))
-        self.batch_window_s = float(batch_window_s)
         self.compute_timeout_s = float(compute_timeout_s)
         self.read_timeout_s = float(read_timeout_s)
         self.drain_timeout_s = float(drain_timeout_s)
@@ -236,14 +216,12 @@ class ServiceCore:
         #: parsing, validation, and fingerprint hashing entirely.
         self._request_keys: OrderedDict[bytes, str] = OrderedDict()  # guarded-by: _request_keys_lock
         self._request_keys_lock = threading.Lock()
-        self._buckets: dict[tuple[str, str], list[tuple[str, Node, _Flight]]] = {}
-        self._batch_lock = threading.Lock()
         self._counters = {
             "requests": 0,
             "hits": 0,  # /v1/compute answered straight from the cache
             "computed": 0,
             "coalesced": 0,
-            "batched": 0,
+            "batched": 0,  # always 0 (no micro-batcher); kept for /v1/stats readers
             # sim_sweep/sim_validate requests through the parse pipeline
             # (warm byte-identical repeats ride fast_serve and are
             # counted as plain hits, like every other family).
@@ -312,7 +290,7 @@ class ServiceCore:
         # Only compute-path outcomes feed the ratio: shared-store GET/PUT
         # traffic (runner workers) also moves the cache's own hit
         # counters, which would make a hits/requests quotient meaningless.
-        dedup = counters["hits"] + counters["coalesced"] + counters["batched"]
+        dedup = counters["hits"] + counters["coalesced"]
         # A locked snapshot, not a field-by-field read of cache.stats: a
         # concurrent compute landing mid-read would tear the counters
         # (hits moved but misses not yet, dedup ratio off by one).
@@ -458,20 +436,24 @@ class ServiceCore:
                 self._request_keys.popitem(last=False)
 
     def _serve_node(self, node: Node) -> tuple[dict[str, np.ndarray], str]:
-        """Serve one graph leaf through cache → flights → planner fusion."""
+        """Serve one graph leaf through cache → flights → a one-node plan.
+
+        ``lookup=False`` because :meth:`_serve` already counted the
+        miss — daemon hit/miss totals stay identical to the offline
+        path.  Executing the plan stores the result.
+        """
         return self._serve(
             node.key,
-            compute=None,
-            batch=lambda key, flight: self._family_batch(key, node, flight),
+            lambda: plan_graph([node], cache=self.cache, lookup=False).execute()[0],
         )
 
     def _serve(
-        self,
-        key: str,
-        compute: Callable[[], Mapping[str, np.ndarray]] | None,
-        batch: Callable[[str, _Flight], tuple[dict[str, np.ndarray], str]] | None = None,
+        self, key: str, compute: Callable[[], dict[str, np.ndarray]]
     ) -> tuple[dict[str, np.ndarray], str]:
-        """Cache → in-flight table → compute (or micro-batch) pipeline."""
+        """Cache → in-flight table → compute pipeline.
+
+        ``compute`` returns the value it stored under ``key``.
+        """
         arrays, level = self.cache.lookup_level(key)
         if arrays is not None and level is not None:
             self._count("hits")
@@ -491,15 +473,10 @@ class ServiceCore:
             assert flight.value is not None
             return flight.value, "coalesced"
         try:
-            if batch is not None:
-                value, served = batch(key, flight)
-            else:
-                assert compute is not None
-                value = self.cache.store(key, compute())
-                served = "computed"
-                self._count("computed")
+            value = compute()
+            self._count("computed")
             flight.value = value
-            return value, served
+            return value, "computed"
         except Exception as exc:
             flight.error = f"{type(exc).__name__}: {exc}"
             raise
@@ -507,72 +484,6 @@ class ServiceCore:
             with self._flights_lock:
                 self._flights.pop(key, None)
             flight.event.set()
-
-    # The micro-batcher -----------------------------------------------------
-
-    def _family_batch(
-        self, key: str, node: Node, flight: _Flight
-    ) -> tuple[dict[str, np.ndarray], str]:
-        """Merge compatible cold requests of *any* family onto one plan.
-
-        Buckets key on the node's ``(op, compat)`` — its family plus
-        its fusion-compatibility fingerprint (machine closed form,
-        stencil, partition kind, scalars; only the axis differs).  The
-        bucket leader sleeps one batching window, gathers everyone who
-        arrived, and hands all member nodes to the sweep-graph planner,
-        which fuses them onto one vectorized evaluation over the union
-        axis and stores each member's slice under its own fingerprint.
-        ``lookup=False`` because the request pipeline already counted
-        each member's miss — daemon hit/miss totals stay identical to
-        the offline path.
-        """
-        compat = (node.op, node.compat)
-        with self._batch_lock:
-            bucket = self._buckets.setdefault(compat, [])
-            leader = not bucket
-            bucket.append((key, node, flight))
-        if not leader:
-            if not flight.event.wait(self.compute_timeout_s):
-                raise ReproError("timed out waiting for the batch leader")
-            if flight.error is not None:
-                raise ReproError(flight.error)
-            self._count("batched")
-            assert flight.value is not None
-            return flight.value, "batched"
-        if self.batch_window_s > 0.0:
-            time.sleep(self.batch_window_s)
-        with self._batch_lock:
-            members = self._buckets.pop(compat)
-        try:
-            results = plan_graph(
-                [mnode for _, mnode, _ in members],
-                cache=self.cache,
-                executor=NumpyExecutor(
-                    jobs=self.jobs, shard_threshold=_SHARD_THRESHOLD
-                ),
-                lookup=False,
-            ).execute()
-        except Exception as exc:
-            message = f"{type(exc).__name__}: {exc}"
-            for mkey, _, mflight in members:
-                if mflight is not flight:
-                    mflight.error = message
-                    with self._flights_lock:
-                        self._flights.pop(mkey, None)
-                    mflight.event.set()
-            raise
-        self._count("computed")
-        value = None
-        for (mkey, _, mflight), stored in zip(members, results):
-            if mflight is flight:
-                value = stored
-            else:
-                mflight.value = stored
-                with self._flights_lock:
-                    self._flights.pop(mkey, None)
-                mflight.event.set()
-        assert value is not None
-        return value, "computed"
 
     # Capacity plans --------------------------------------------------------
 
@@ -644,7 +555,7 @@ class ServiceCore:
             return out
 
         key = fingerprint(request)
-        arrays, served = self._serve(key, compute=compute)
+        arrays, served = self._serve(key, lambda: self.cache.store(key, compute()))
         return arrays, served, key
 
     # ------------------------------------------------------- HTTP semantics
@@ -806,8 +717,6 @@ class SweepServer(ServiceCore):
         port: int = DEFAULT_PORT,
         cache_dir: str | None = None,
         max_cache_mb: float | None = None,
-        jobs: int = 1,
-        batch_window_s: float = 0.005,
         compute_timeout_s: float = 600.0,
         read_timeout_s: float = DEFAULT_READ_TIMEOUT_S,
         drain_timeout_s: float = DEFAULT_DRAIN_TIMEOUT_S,
@@ -815,8 +724,6 @@ class SweepServer(ServiceCore):
         super().__init__(
             cache_dir=cache_dir,
             max_cache_mb=max_cache_mb,
-            jobs=jobs,
-            batch_window_s=batch_window_s,
             compute_timeout_s=compute_timeout_s,
             read_timeout_s=read_timeout_s,
             drain_timeout_s=drain_timeout_s,

@@ -304,6 +304,48 @@ class TestCorruptedEntries:
         assert not bad.exists()  # dropped so the recompute can rewrite
 
 
+class TestRequestGranularStore:
+    """A computed curve is stored whole, once per request fingerprint."""
+
+    WIDE = list(range(64, 400))
+
+    def test_allocation_curve_is_cached_whole(self, tmp_path):
+        cache = SweepCache(tmp_path)
+        optimal_allocation_curve(PAPER_BUS, FIVE_POINT, SQUARE, self.WIDE, cache=cache)
+        assert cache.stats.misses == 1
+        assert len(list(tmp_path.glob("*.npz"))) == 1
+        again = optimal_allocation_curve(
+            PAPER_BUS, FIVE_POINT, SQUARE, self.WIDE, cache=cache
+        )
+        assert cache.stats.memory_hits == 1 and cache.stats.misses == 1
+        direct = optimal_allocation_curve(PAPER_BUS, FIVE_POINT, SQUARE, self.WIDE)
+        for name, array in direct.to_arrays().items():
+            np.testing.assert_array_equal(again.to_arrays()[name], array)
+
+    def test_fused_requests_store_one_entry_each(self, tmp_path):
+        from repro.graph import evaluate, nodes
+
+        axes = [self.WIDE[:100], self.WIDE[80:200], self.WIDE[150:]]
+        requests = [
+            nodes.allocation_curve(PAPER_BUS, FIVE_POINT, SQUARE, axis) for axis in axes
+        ]
+        cache = SweepCache(tmp_path)
+        evaluate(requests, cache=cache)
+        # One evaluation over the union axis, but each slice under its
+        # own key: the store never holds the union.
+        assert cache.stats.executor_runs == {"numpy": 1}
+        assert cache.stats.siblings_fused == 2
+        assert len(list(tmp_path.glob("*.npz"))) == 3
+        fresh = SweepCache(tmp_path)
+        for axis in axes:
+            served = optimal_allocation_curve(
+                PAPER_BUS, FIVE_POINT, SQUARE, axis, cache=fresh
+            )
+            direct = optimal_allocation_curve(PAPER_BUS, FIVE_POINT, SQUARE, axis)
+            np.testing.assert_array_equal(served.speedup, direct.speedup)
+        assert fresh.stats.disk_hits == 3 and fresh.stats.misses == 0
+
+
 class TestClosedFormDedup:
     """Bus presets sharing a closed form collapse to one fingerprint."""
 

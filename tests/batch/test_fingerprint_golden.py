@@ -3,8 +3,10 @@
 Fingerprints name entries in every on-disk cache, so they are a stored
 format.  ``fingerprint_golden.json`` holds ``[key, compat]`` — the
 fingerprints — of every catalog preset × stencil × partition kind ×
-request family, plus the sharded allocation path and a few
-non-catalog machines and stencils.  A change to any of them is a format
+request family, plus the raw allocation request built by
+``_allocation_request`` (the ``alloc-sharded/`` entries, named after
+a path that has since been removed) and a few non-catalog machines
+and stencils.  A change to any of them is a format
 bump that invalidates existing disk caches; it must be deliberate, with
 the fixture regenerated and the bump recorded in the change log::
 

@@ -420,6 +420,44 @@ class TestValidationAndRegistry:
                 backend.evaluate("nonsense", {}, np.array([1.0]))
 
 
+class TestNumpyExecutor:
+    """The default backend: one in-process broadcast per fused leaf."""
+
+    WIDE = list(range(64, 400))
+
+    @pytest.mark.parametrize("knob", ["jobs", "shard_threshold"])
+    def test_takes_no_arguments(self, knob):
+        # The process-pool knobs are gone; passing one fails loudly.
+        with pytest.raises(TypeError):
+            NumpyExecutor(**{knob: 2})
+
+    @pytest.mark.parametrize("kind", list(PartitionKind), ids=lambda k: k.value)
+    def test_wide_integer_allocation_axis_matches_oracle(self, kind):
+        node = nodes.allocation_curve(PAPER_BUS, FIVE_POINT, kind, self.WIDE, integer=True)
+        (via_numpy,) = evaluate([node], executor="numpy")
+        (via_oracle,) = evaluate([node], executor="oracle")
+        _assert_arrays_equal(via_numpy, via_oracle)
+
+    def test_wide_catalog_sweep_matches_eager_engine(self):
+        spec = SweepSpec.across_catalog(
+            self.WIDE, [1.0, 2.0, 8.0, 64.0], machines=["ipsc", "paper-bus"]
+        )
+        (surfaces,) = evaluate([nodes.sweep(spec)])
+        _assert_arrays_equal(surfaces, dict(run_sweep(spec).cycle_times))
+
+    def test_uncached_evaluation_never_touches_the_default_cache(self, tmp_path):
+        from repro.batch import clear_default_cache, configure_default_cache
+
+        node = nodes.allocation_curve(PAPER_BUS, FIVE_POINT, PartitionKind.SQUARE, self.WIDE)
+        default = configure_default_cache(tmp_path)
+        try:
+            evaluate([node])
+        finally:
+            clear_default_cache()
+        assert list(tmp_path.glob("*.npz")) == []
+        assert default.stats.requests == 0 and default.stats.nodes_planned == 0
+
+
 class TestExecutorSubclassContract:
     def test_base_evaluate_is_abstract(self):
         with pytest.raises(NotImplementedError):

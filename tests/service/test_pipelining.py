@@ -37,7 +37,7 @@ def _assert_same_arrays(ours: dict, theirs: dict) -> None:
 
 @pytest.fixture()
 def server():
-    with SweepServer(port=0, batch_window_s=0.0) as srv:
+    with SweepServer(port=0) as srv:
         yield srv
 
 
@@ -86,7 +86,7 @@ class TestDepthVersusServerCap:
         # A 32-deep client burst against a server that reads one
         # request at a time: the backlog queues in the socket buffers
         # and must drain in order, not deadlock or drop requests.
-        with SweepServer(port=0, batch_window_s=0.0) as srv:
+        with SweepServer(port=0) as srv:
             client = ServiceClient(srv.url, binary=binary)
             payloads = _payloads(32)
             results = client.compute_many(payloads, pipeline=32)

@@ -172,25 +172,29 @@ class TestRequestFraming:
 
 
 def _read_response(sock: socket.socket) -> tuple[int, dict[str, str], bytes]:
-    """Read exactly one ``Content-Length``-framed response off ``sock``."""
+    """Read exactly one ``Content-Length``-framed response off ``sock``.
+
+    Never reads past it — the head byte by byte, the body by its
+    declared length — because pipelined responses may already sit in
+    the socket buffer; a mis-framed response then breaks the next read.
+    """
     sock.settimeout(10.0)
-    data = b""
-    while b"\r\n\r\n" not in data:
-        chunk = sock.recv(65536)
+    head = b""
+    while not head.endswith(b"\r\n\r\n"):
+        chunk = sock.recv(1)
         assert chunk, "server closed the connection mid-response"
-        data += chunk
-    head, _, body = data.partition(b"\r\n\r\n")
-    status_line, *lines = head.decode("latin-1").split("\r\n")
+        head += chunk
+    status_line, *lines = head[:-4].decode("latin-1").split("\r\n")
     headers = {
         name.strip().lower(): value.strip()
         for name, _, value in (line.partition(":") for line in lines)
     }
     length = int(headers["content-length"])
+    body = b""
     while len(body) < length:
-        chunk = sock.recv(65536)
+        chunk = sock.recv(length - len(body))
         assert chunk, "server closed the connection mid-body"
         body += chunk
-    assert len(body) == length  # nothing of a later response was read
     return int(status_line.split()[1]), headers, body
 
 
@@ -206,7 +210,7 @@ def _peer_closed(sock: socket.socket, timeout: float = 5.0) -> bool:
 class TestWireReading:
     @pytest.fixture()
     def server(self):
-        with SweepServer(port=0, read_timeout_s=5.0, batch_window_s=0.0) as srv:
+        with SweepServer(port=0, read_timeout_s=5.0) as srv:
             yield srv
 
     @staticmethod
@@ -384,7 +388,7 @@ class TestReadTimeout:
 
 class TestGracefulShutdown:
     def test_slow_request_racing_shutdown_still_completes(self, monkeypatch):
-        server = SweepServer(port=0, batch_window_s=0.0).start_background()
+        server = SweepServer(port=0).start_background()
         try:
             slow_started = threading.Event()
             real = server.compute_with_key
@@ -438,9 +442,7 @@ class TestGracefulShutdown:
             core.close()
 
     def test_close_flushes_memory_entries_back_to_disk(self, tmp_path):
-        server = SweepServer(
-            port=0, cache_dir=str(tmp_path), batch_window_s=0.0
-        ).start_background()
+        server = SweepServer(port=0, cache_dir=str(tmp_path)).start_background()
         client = ServiceClient(server.url)
         client.allocation_curve("paper-bus", "5-point", "square", SIDES)
         client.close()

@@ -1,4 +1,4 @@
-"""The sweep service: wire fidelity, coalescing, batching, bounds."""
+"""The sweep service: wire fidelity, coalescing, bounds."""
 
 import threading
 from collections import Counter
@@ -7,8 +7,17 @@ import numpy as np
 import pytest
 
 from repro.batch import optimal_allocation_curve, run_sweep, SweepSpec
+from repro.graph import evaluate as graph_evaluate
+from repro.graph import nodes as graph_nodes
+from repro.errors import ReproError
 from repro.machines.catalog import DEFAULT_MACHINES, FLEX32, PAPER_BUS
-from repro.service import RemoteSweepCache, ServiceClient, ServiceError, SweepServer
+from repro.service import (
+    RemoteSweepCache,
+    ServiceClient,
+    ServiceCore,
+    ServiceError,
+    SweepServer,
+)
 from repro.service.schema import (
     allocation_payload,
     decode_arrays,
@@ -73,6 +82,17 @@ class TestHealthAndStats:
         assert "siblings_fused" in stats["planner"]
         assert "subgraphs_deduped" in stats["planner"]
 
+    def test_batched_counter_is_kept_at_zero(self, client):
+        # No micro-batcher: the key stays for /v1/stats readers, at 0,
+        # and the dedup ratio is hits plus coalesced over requests.
+        client.allocation_curve("paper-bus", "5-point", "square", SIDES)
+        client.allocation_curve("paper-bus", "5-point", "square", SIDES)
+        stats = client.stats()
+        counters = stats["counters"]
+        assert counters["batched"] == 0
+        assert counters["requests"] == 2 and counters["hits"] == 1
+        assert stats["dedup_ratio"] == 0.5
+
 
 class TestAllocationRequests:
     def test_served_curve_is_bit_identical(self, client):
@@ -125,6 +145,23 @@ class TestAllocationRequests:
         np.testing.assert_array_equal(curve.cycle_time, direct.cycle_time)
         assert curve.regime == direct.regime
 
+    def test_cold_request_is_one_planned_evaluation_stored_once(self, tmp_path):
+        with SweepServer(port=0, cache_dir=str(tmp_path)) as srv:
+            c = ServiceClient(srv.url)
+            c.allocation_curve("paper-bus", "5-point", "square", SIDES)
+            assert c.last_served == "computed"
+            stats = c.stats()
+            assert stats["cache"]["misses"] == 1
+            assert stats["cache"]["memory_hits"] == stats["cache"]["disk_hits"] == 0
+            assert stats["planner"]["nodes_planned"] == 1
+            assert stats["planner"]["executor_runs"] == {"numpy": 1}
+            assert stats["entries"] == 1
+            assert len(list(tmp_path.glob("*.npz"))) == 1
+            c.allocation_curve("paper-bus", "5-point", "square", SIDES)
+            assert c.last_served == "memory"
+            assert c.stats()["planner"]["nodes_planned"] == 1
+            assert len(list(tmp_path.glob("*.npz"))) == 1
+
     def test_unknown_machine_is_a_400(self, client):
         with pytest.raises(ServiceError, match="unknown machine"):
             client.allocation_curve("cray-1", "5-point", "square", SIDES)
@@ -170,74 +207,133 @@ class TestCoalescing:
         # entry or served from the store the one compute filled.
         assert counts["coalesced"] + counts["memory"] + counts["disk"] == 7
 
-    def test_micro_batch_compatible_axes_one_compute(self, server):
-        outcomes: list[str] = []
+    @staticmethod
+    def _fire_concurrently(server, request, starts):
+        """One client thread per start, released together; (start, answer, served)."""
+        outcomes = []
         lock = threading.Lock()
-        barrier = threading.Barrier(6)
+        barrier = threading.Barrier(len(starts))
 
         def fire(lo: int):
-            barrier.wait()
+            barrier.wait(timeout=30)
             c = ServiceClient(server.url)
-            c.allocation_curve(
+            answer = request(c, lo)
+            with lock:
+                outcomes.append((lo, answer, c.last_served))
+
+        threads = [threading.Thread(target=fire, args=(lo,)) for lo in starts]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert len(outcomes) == len(starts)
+        return sorted(outcomes, key=lambda outcome: outcome[0])
+
+    def test_compatible_cold_allocations_each_compute_once(self, server):
+        # Compatible (same family, machine, stencil, kind; only the axis
+        # differs) but distinct cold requests do not wait on each other:
+        # each is computed once, at once, and equals the offline graph.
+        def request(c, lo):
+            return c.allocation_curve(
                 "flex32", "5-point", "square", list(range(lo, lo + 200))
             )
-            with lock:
-                outcomes.append(c.last_served)
 
-        threads = [
-            threading.Thread(target=fire, args=(100 + 17 * i,)) for i in range(6)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        counts = Counter(outcomes)
-        assert counts["computed"] >= 1
-        assert counts["batched"] >= 1  # at least one rider merged onto it
-
-    def test_micro_batch_compatible_sweeps_one_compute(self, server):
-        # Satellite of the planner rewrite: the micro-batcher is no
-        # longer allocation-only — compatible *sweep* requests (same
-        # processors/machines/stencil/kind, different grid axes) ride
-        # one fused evaluation too.
-        outcomes: list[str] = []
-        lock = threading.Lock()
-        barrier = threading.Barrier(6)
-
-        def fire(lo: int):
-            barrier.wait()
-            c = ServiceClient(server.url)
-            c.sweep(
-                list(range(lo, lo + 120)), [1.0, 4.0, 16.0], ["ipsc", "paper-bus"]
+        before = server.stats_payload()["counters"]["computed"]
+        outcomes = self._fire_concurrently(
+            server, request, [100 + 17 * i for i in range(6)]
+        )
+        assert [served for _, _, served in outcomes] == ["computed"] * 6
+        assert server.stats_payload()["counters"]["computed"] - before == 6
+        for lo, curve, _ in outcomes:
+            node = graph_nodes.allocation_curve(
+                FLEX32, FIVE_POINT, SQUARE, list(range(lo, lo + 200))
             )
-            with lock:
-                outcomes.append(c.last_served)
+            offline = graph_evaluate([node])[0]
+            served = curve.to_arrays()
+            assert served.keys() == offline.keys()
+            for name in offline:
+                np.testing.assert_array_equal(served[name], offline[name])
 
-        threads = [
-            threading.Thread(target=fire, args=(64 + 13 * i,)) for i in range(6)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        counts = Counter(outcomes)
-        assert counts["computed"] >= 1
-        assert counts["batched"] >= 1  # at least one rider merged onto it
+    def test_compatible_cold_sweeps_each_compute_once(self, server):
+        processors, machines = [1.0, 4.0, 16.0], ["ipsc", "paper-bus"]
 
-        # Every batched slice is bit-identical to a direct evaluation.
-        verifier = ServiceClient(server.url)
-        for i in range(6):
-            lo = 64 + 13 * i
-            sides = list(range(lo, lo + 120))
-            surfaces = verifier.sweep(sides, [1.0, 4.0, 16.0], ["ipsc", "paper-bus"])
-            assert verifier.last_served in ("memory", "disk")
-            direct = run_sweep(
-                SweepSpec.across_catalog(
-                    sides, [1.0, 4.0, 16.0], machines=["ipsc", "paper-bus"]
-                )
+        def request(c, lo):
+            return c.sweep(list(range(lo, lo + 120)), processors, machines)
+
+        before = server.stats_payload()["counters"]["computed"]
+        outcomes = self._fire_concurrently(
+            server, request, [64 + 13 * i for i in range(6)]
+        )
+        assert [served for _, _, served in outcomes] == ["computed"] * 6
+        assert server.stats_payload()["counters"]["computed"] - before == 6
+        # Served equals offline, bit for bit.
+        for lo, surfaces, _ in outcomes:
+            spec = SweepSpec.across_catalog(
+                list(range(lo, lo + 120)), processors, machines=machines
             )
-            for name in ("ipsc", "paper-bus"):
-                np.testing.assert_array_equal(surfaces[name], direct.cycle_time(name))
+            offline = graph_evaluate([graph_nodes.sweep(spec)])[0]
+            assert surfaces.keys() == offline.keys()
+            for name in machines:
+                np.testing.assert_array_equal(surfaces[name], offline[name])
+
+    def test_failed_compute_reaches_the_coalesced_twin(self):
+        core = ServiceCore()
+        key = "e" * 64
+        started, release, parked = (threading.Event() for _ in range(3))
+        errors: list[str] = []
+
+        class _Parking(threading.Event):
+            def wait(self, timeout=None):
+                parked.set()
+                return super().wait(timeout)
+
+        def failing():
+            started.set()
+            release.wait(timeout=30)
+            raise ValueError("kernel blew up")
+
+        def leader():
+            with pytest.raises(ValueError, match="kernel blew up"):
+                core._serve(key, failing)
+
+        def twin():
+            try:
+                core._serve(key, lambda: errors.append("twin recomputed"))
+            except ReproError as exc:
+                errors.append(str(exc))
+
+        first = threading.Thread(target=leader)
+        first.start()
+        assert started.wait(timeout=30)
+        core._flights[key].event = _Parking()
+        second = threading.Thread(target=twin)
+        second.start()
+        # The twin waits on the leader's flight; only then does it fail.
+        assert parked.wait(timeout=30)
+        release.set()
+        first.join(timeout=30)
+        second.join(timeout=30)
+        assert not first.is_alive() and not second.is_alive()
+        assert errors == ["ValueError: kernel blew up"]
+        assert core._flights == {}
+        assert core.stats_payload()["counters"]["computed"] == 0
+
+    def test_failed_compute_leaves_no_flight_behind(self):
+        core = ServiceCore()
+        key = "f" * 64
+
+        def failing():
+            raise ValueError("transient")
+
+        with pytest.raises(ValueError, match="transient"):
+            core._serve(key, failing)
+        assert core._flights == {}
+        value = {"x": np.arange(3.0)}
+        # A retry computes afresh instead of replaying the old error.
+        assert core._serve(key, lambda: value) == (value, "computed")
+        assert core._flights == {}
+        assert core.stats_payload()["counters"]["computed"] == 1
 
     def test_batched_slices_equal_direct_computation(self, server):
         barrier = threading.Barrier(4)
@@ -467,6 +563,15 @@ class TestBoundedServerCache:
                 PAPER_BUS, FIVE_POINT, SQUARE, list(range(64, 72))
             )
             np.testing.assert_array_equal(curve.speedup, direct.speedup)
+
+
+class TestRemovedParameters:
+    @pytest.mark.parametrize("cls", [ServiceCore, SweepServer])
+    @pytest.mark.parametrize("knob", ["jobs", "batch_window_s"])
+    def test_sharding_and_batching_knobs_are_type_errors(self, cls, knob):
+        # Old callers fail loudly instead of silently losing the knob.
+        with pytest.raises(TypeError, match=knob):
+            cls(**{knob: 1})
 
 
 class TestUnreachableServer:

@@ -74,6 +74,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--machine", "paper-bus", "--grid", "64:128:64", "--jobs", "2"],
+            ["serve", "--port", "0", "--jobs", "2"],
+            ["serve", "--port", "0", "--batch-window", "0"],
+        ],
+        ids=["optimize-jobs", "serve-jobs", "serve-batch-window"],
+    )
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        # Old scripts must fail loudly, not silently lose the flag.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestParseAxis:
     def test_range_inclusive(self):
@@ -165,6 +181,26 @@ class TestOptimizeGrid:
 
         with pytest.raises(InvalidParameterError):
             main(["optimize", "--machine", "paper-bus", "--grid", "9:1"])
+
+    def test_numpy_and_oracle_share_cache_entries(self, capsys, tmp_path):
+        # One graph call for both executors: the oracle run is served
+        # from the entry the numpy run stored, with the same table.
+        args = [
+            "optimize",
+            "--machine",
+            "paper-bus",
+            "--grid",
+            "64:512:32",
+            "--cache-dir",
+            str(tmp_path / "cache"),
+        ]
+        main(args + ["--executor", "numpy"])
+        cold = capsys.readouterr().out
+        main(args + ["--executor", "oracle"])
+        warm = capsys.readouterr().out
+        assert "[cold]" in cold and "[warm]" in warm
+        table = cold.split("sweep cache")[0]
+        assert warm.split("sweep cache")[0] == table
 
 
 class TestPlanGrid:
@@ -273,15 +309,6 @@ class TestExplainAndExecutor:
             main(
                 ["plan", "--machine", "paper-bus", "--n", "64",
                  "--server", "http://127.0.0.1:1", "--executor", "oracle"]
-            )
-
-    def test_oracle_with_jobs_rejected(self):
-        from repro.errors import InvalidParameterError
-
-        with pytest.raises(InvalidParameterError, match="--jobs"):
-            main(
-                ["optimize", "--machine", "paper-bus", "--grid", "64:128:64",
-                 "--executor", "oracle", "--jobs", "4"]
             )
 
 
@@ -503,23 +530,16 @@ class TestServerRouting:
                 ]
             )
 
-    def test_server_with_jobs_rejected(self):
-        from repro.errors import InvalidParameterError
+    def test_experiments_jobs_stays_local_with_server(self):
+        # The runner's process pool still acts in this process, so
+        # `experiments --server --jobs` passes the guard.
+        from repro.cli import _reject_server_plus_cache, build_parser
 
-        with pytest.raises(InvalidParameterError, match="no effect with --server"):
-            main(
-                [
-                    "optimize",
-                    "--machine",
-                    "paper-bus",
-                    "--grid",
-                    "64:128:64",
-                    "--server",
-                    "http://127.0.0.1:1",
-                    "--jobs",
-                    "4",
-                ]
-            )
+        args = build_parser().parse_args(
+            ["experiments", "--server", "http://127.0.0.1:1", "--jobs", "2",
+             "--max-cache-mb", "4"]
+        )
+        _reject_server_plus_cache(args, locally_meaningful=("max_cache_mb",))
 
     def test_max_cache_mb_bounds_the_local_store(self, capsys, tmp_path):
         cache_dir = tmp_path / "cache"
