@@ -68,8 +68,20 @@ def validate_area(workload: Workload, area: Any) -> None:
     """Reject non-positive or over-full partition areas.
 
     Accepts scalars or arrays; an area may not exceed the whole grid
-    (that would mean fewer than one processor).
+    (that would mean fewer than one processor).  A NaN area passes, as
+    both comparisons are false.
     """
+    if isinstance(area, (float, int)):
+        # The scalar searches' hot path (``np.float64`` is a ``float``):
+        # the array path's comparisons and messages without its array calls.
+        value = float(area)
+        if value <= 0:
+            raise InvalidParameterError("partition area must be positive")
+        if value > workload.grid_points:
+            raise InvalidParameterError(
+                f"partition area {value} exceeds grid size {workload.grid_points}"
+            )
+        return
     arr = np.asarray(area, dtype=float)
     if np.any(arr <= 0):
         raise InvalidParameterError("partition area must be positive")

@@ -18,6 +18,14 @@ explicit halo copies.  That makes two validations possible:
   (same operations in the same order per point);
 * the *measured* halo word counts match the model's volume formulas
   (``2·k·n`` per strip, ``≈4·k·s`` per square) — exercised in tests.
+
+Like the sequential solver, each rank is double-buffered: it owns two
+ghost-ringed stores and every sweep reads one and writes the other.
+The halo copies and the stencil terms are bound to both stores once,
+at construction, as ``(destination, source)`` view pairs and
+``(weight, view)`` terms, so a sweep is only copies and arithmetic.
+``JacobiResult.field`` is assembled from the buffers holding the last
+iterate.
 """
 
 from __future__ import annotations
@@ -28,11 +36,16 @@ import numpy as np
 
 from repro.errors import ConvergenceError, InvalidParameterError
 from repro.partitioning.decomposition import Decomposition
-from repro.solver.convergence import CheckSchedule, Criterion, InfNormCriterion
+from repro.solver.convergence import (
+    CheckSchedule,
+    Criterion,
+    InfNormCriterion,
+    SumSquaresCriterion,
+)
 from repro.solver.grid import GridField
-from repro.solver.jacobi import JacobiResult
+from repro.solver.jacobi import JacobiResult, check_damping, update_into
 from repro.solver.problems import ModelProblem
-from repro.stencils.apply import apply_stencil_into
+from repro.stencils.apply import bind_terms
 from repro.stencils.stencil import Stencil
 
 __all__ = ["HaloCopy", "ParallelJacobi", "solve_jacobi_parallel"]
@@ -65,35 +78,68 @@ class ParallelJacobi:
         decomposition: Decomposition,
         damping: float = 1.0,
     ) -> None:
-        if not 0.0 < damping <= 1.0:
-            raise InvalidParameterError("damping must be in (0, 1]")
+        check_damping(damping)
         self.stencil = stencil
         self.problem = problem
         self.decomposition = decomposition
         self.damping = damping
-        self.ghost = stencil.reach
+        self.ghost = g = stencil.reach
         n = decomposition.n
-        self._h = 1.0 / (n + 1)
+        scale = stencil.rhs_scale * (1.0 / (n + 1)) ** 2
 
         rhs_full = problem.rhs_grid(n)
-        self.locals: list[np.ndarray] = []
+        stores: list[np.ndarray] = []
         self.rhs: list[np.ndarray] = []
         self.scratch: list[np.ndarray] = []
         for part in decomposition.partitions:
             store = np.full(
-                (part.n_rows + 2 * self.ghost, part.n_cols + 2 * self.ghost),
+                (part.n_rows + 2 * g, part.n_cols + 2 * g),
                 problem.boundary_value,
                 dtype=float,
             )
-            store[self.ghost : -self.ghost or None, self.ghost : -self.ghost or None][
-                : part.n_rows, : part.n_cols
-            ] = 0.0
-            self.locals.append(store)
+            store[g : g + part.n_rows, g : g + part.n_cols] = 0.0
+            stores.append(store)
             self.rhs.append(
                 rhs_full[part.row_start : part.row_stop, part.col_start : part.col_stop]
             )
             self.scratch.append(np.empty((part.n_rows, part.n_cols), dtype=float))
+        rhs_terms = [scale * rhs for rhs in self.rhs]
+        #: Each rank's two stores; ``buffers[self.current]`` holds the
+        #: latest iterate.
+        self.buffers = (stores, [store.copy() for store in stores])
+        self.current = 0
+        self._interiors = tuple(
+            [
+                store[g : g + part.n_rows, g : g + part.n_cols]
+                for store, part in zip(buffer, decomposition.partitions)
+            ]
+            for buffer in self.buffers
+        )
         self.copies = self._plan_halo_exchange()
+        self._words_per_exchange = sum(cp.volume for cp in self.copies)
+        # Per buffer: the halo copies as (ghost view, source interior view)
+        # pairs, and per rank the arguments of one update into the other
+        # buffer.
+        self._halos = tuple(
+            [
+                (
+                    buffer[cp.dst_rank][cp.dst_rows, cp.dst_cols],
+                    interiors[cp.src_rank][cp.src_rows, cp.src_cols],
+                )
+                for cp in self.copies
+            ]
+            for buffer, interiors in zip(self.buffers, self._interiors)
+        )
+        self._updates = tuple(
+            [
+                (bind_terms(stencil, store), rhs_term, damping, old, new, scratch)
+                for store, rhs_term, old, new, scratch in zip(
+                    self.buffers[src], rhs_terms, self._interiors[src],
+                    self._interiors[1 - src], self.scratch,
+                )
+            ]
+            for src in (0, 1)
+        )
         self.iterations = 0
         self.words_exchanged_last_iteration = 0
 
@@ -139,37 +185,29 @@ class ParallelJacobi:
 
     # ------------------------------------------------------------ execution
 
-    def _interior(self, rank: int) -> np.ndarray:
-        g = self.ghost
-        part = self.decomposition.partitions[rank]
-        return self.locals[rank][g : g + part.n_rows, g : g + part.n_cols]
+    @property
+    def locals(self) -> list[np.ndarray]:
+        """Every rank's store (ghost ring included) holding the latest iterate."""
+        return self.buffers[self.current]
+
+    @property
+    def interiors(self) -> list[np.ndarray]:
+        """Views of every rank's latest iterate (no ghosts, no copy)."""
+        return self._interiors[self.current]
 
     def exchange_halos(self) -> int:
         """Run every planned copy; returns words moved."""
-        words = 0
-        for cp in self.copies:
-            src_interior = self._interior(cp.src_rank)
-            self.locals[cp.dst_rank][cp.dst_rows, cp.dst_cols] = src_interior[
-                cp.src_rows, cp.src_cols
-            ]
-            words += cp.volume
-        self.words_exchanged_last_iteration = words
-        return words
+        for dst, src in self._halos[self.current]:
+            dst[...] = src
+        self.words_exchanged_last_iteration = self._words_per_exchange
+        return self._words_per_exchange
 
     def sweep(self) -> None:
         """One parallel iteration: halo exchange, then rank-local sweeps."""
         self.exchange_halos()
-        scale = self.stencil.rhs_scale * self._h**2
-        for rank in range(self.decomposition.n_processors):
-            scratch = self.scratch[rank]
-            apply_stencil_into(self.stencil, self.locals[rank], scratch)
-            scratch += scale * self.rhs[rank]
-            interior = self._interior(rank)
-            if self.damping == 1.0:
-                interior[:] = scratch
-            else:
-                interior *= 1.0 - self.damping
-                interior += self.damping * scratch
+        for update in self._updates[self.current]:
+            update_into(*update)
+        self.current = 1 - self.current
         self.iterations += 1
 
     def read_volume_per_rank(self) -> list[int]:
@@ -183,10 +221,10 @@ class ParallelJacobi:
         """Assemble the global field from rank interiors."""
         n = self.decomposition.n
         fld = GridField.zeros(n, self.stencil, self.problem.boundary_value)
-        for rank, part in enumerate(self.decomposition.partitions):
+        for part, interior in zip(self.decomposition.partitions, self.interiors):
             fld.interior[
                 part.row_start : part.row_stop, part.col_start : part.col_stop
-            ] = self._interior(rank)
+            ] = interior
         return fld
 
     def local_measures(self, criterion: Criterion, previous: list[np.ndarray]) -> float:
@@ -197,11 +235,8 @@ class ParallelJacobi:
         natural monoid (max for norms, sum handled by measure addition).
         """
         values = [
-            criterion.measure(previous[rank], self._interior(rank))
-            for rank in range(self.decomposition.n_processors)
+            criterion.measure(old, new) for old, new in zip(previous, self.interiors)
         ]
-        from repro.solver.convergence import SumSquaresCriterion
-
         if isinstance(criterion, SumSquaresCriterion):
             return float(sum(values))
         return float(max(values))
@@ -221,18 +256,16 @@ def solve_jacobi_parallel(
     Produces bit-identical iterates to the sequential solver; raises
     :class:`ConvergenceError` on iteration exhaustion just the same.
     """
+    if max_iterations < 1:
+        raise InvalidParameterError("max_iterations must be >= 1")
     criterion = criterion or InfNormCriterion(tol=1e-8)
     runner = ParallelJacobi(stencil, problem, decomposition, damping)
     history: list[float] = []
-    previous = [np.empty_like(runner.scratch[r]) for r in range(decomposition.n_processors)]
 
     for iteration in range(1, max_iterations + 1):
-        check = schedule.should_check(iteration)
-        if check:
-            for rank in range(decomposition.n_processors):
-                previous[rank][:] = runner._interior(rank)
+        previous = runner.interiors
         runner.sweep()
-        if check:
+        if schedule.should_check(iteration):
             measure = runner.local_measures(criterion, previous)
             history.append(measure)
             if criterion.is_converged(measure):

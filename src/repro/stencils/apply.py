@@ -17,9 +17,15 @@ import numpy as np
 from repro.errors import InvalidParameterError
 from repro.stencils.stencil import Stencil
 
+#: One update term: a weight and the shifted view of a field it scales.
+Term = tuple[float, np.ndarray]
+
 __all__ = [
+    "Term",
+    "accumulate_terms",
     "apply_stencil",
     "apply_stencil_into",
+    "bind_terms",
     "residual_sum_squares",
     "ghost_width",
     "pad_with_boundary",
@@ -70,6 +76,22 @@ def apply_stencil_into(stencil: Stencil, field: np.ndarray, out: np.ndarray) -> 
     Avoids one allocation per sweep, which dominates for small grids
     (see the in-place-operations guidance in the optimization guide).
     """
+    terms = bind_terms(stencil, field)
+    g = ghost_width(stencil)
+    expected = (field.shape[0] - 2 * g, field.shape[1] - 2 * g)
+    if out.shape != expected:
+        raise InvalidParameterError(f"out has shape {out.shape}, expected {expected}")
+    accumulate_terms(terms, out)
+
+
+def bind_terms(stencil: Stencil, field: np.ndarray) -> tuple[Term, ...]:
+    """Check ``field`` against ``stencil`` once and bind its update terms.
+
+    Returns one ``(weight, shifted view of field)`` pair per nonzero
+    weight, in ``weights`` order.  The views share ``field``'s storage,
+    so a solver binds them once per buffer and reuses them for every
+    sweep: what is left per sweep is the arithmetic.
+    """
     _check_weights(stencil)
     g = ghost_width(stencil)
     m = field.shape[0] - 2 * g
@@ -78,16 +100,24 @@ def apply_stencil_into(stencil: Stencil, field: np.ndarray, out: np.ndarray) -> 
         raise InvalidParameterError(
             f"field of shape {field.shape} too small for ghost width {g}"
         )
-    if out.shape != (m, n):
-        raise InvalidParameterError(
-            f"out has shape {out.shape}, expected {(m, n)}"
-        )
-    out[:] = 0.0
     assert stencil.weights is not None
-    for (di, dj), w in stencil.weights.items():
-        if w == 0.0:
-            continue
-        out += w * field[g + di : g + di + m, g + dj : g + dj + n]
+    return tuple(
+        (w, field[g + di : g + di + m, g + dj : g + dj + n])
+        for (di, dj), w in stencil.weights.items()
+        if w != 0.0
+    )
+
+
+def accumulate_terms(terms: tuple[Term, ...], out: np.ndarray) -> None:
+    """``out = 0.0 + w₁·v₁ + w₂·v₂ + …`` over pre-bound terms, in order.
+
+    The sum starts at ``0.0`` rather than at the first term, so a point
+    whose terms are all ``−0.0`` comes out ``+0.0``; folding the first
+    term in would give ``−0.0`` and change the iterates' bits.
+    """
+    out.fill(0.0)
+    for w, view in terms:
+        out += w * view
 
 
 def residual_sum_squares(old_interior: np.ndarray, new_interior: np.ndarray) -> float:

@@ -14,6 +14,7 @@ rows (the strip-partition direction) and ``dj`` within a row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from repro.errors import InvalidParameterError
@@ -51,7 +52,8 @@ class Stencil:
         When omitted the stencil is purely geometric (enough for the
         performance model, not for the solver substrate).  Treated as
         immutable, like every field: cache fingerprints memoize a
-        stencil's encoding, so edit a copy, never the mapping in place.
+        stencil's encoding and the reaches are cached on first use, so
+        edit a copy, never the mapping in place.
     flops_per_point:
         ``E(S)``, floating point operations per grid-point update.
         Defaults to ``len(offsets) + 1``.
@@ -95,17 +97,17 @@ class Stencil:
 
     # ---------------------------------------------------------------- geometry
 
-    @property
+    @cached_property
     def reach_rows(self) -> int:
         """Maximum row distance read: ``max |di|``."""
         return max(abs(di) for di, _ in self.offsets)
 
-    @property
+    @cached_property
     def reach_cols(self) -> int:
         """Maximum column distance read: ``max |dj|``."""
         return max(abs(dj) for _, dj in self.offsets)
 
-    @property
+    @cached_property
     def reach(self) -> int:
         """Chebyshev radius: perimeters needed around a 2-D partition."""
         return max(self.reach_rows, self.reach_cols)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.parameters import Workload
 from repro.errors import InvalidParameterError
@@ -30,6 +32,37 @@ class TestValidateArea:
     def test_rejects_overfull(self, w):
         with pytest.raises(InvalidParameterError, match="exceeds"):
             validate_area(w, 1025.0)
+
+
+def _outcome(w, area):
+    try:
+        validate_area(w, area)
+    except InvalidParameterError as exc:
+        return str(exc)
+    return None
+
+
+class TestValidateAreaScalarPath:
+    """Python scalars take a fast path; it must agree with the array path."""
+
+    @pytest.mark.parametrize("value", [0, -1, 1024, 1025, float("nan"), float("inf")])
+    def test_scalar_types_agree_with_0d_array(self, w, value):
+        areas = [float(value), np.float64(value), np.array(float(value))]
+        if isinstance(value, int):
+            areas.append(value)
+        assert len({_outcome(w, area) for area in areas}) == 1
+
+    def test_nan_passes_and_inf_is_overfull(self, w):
+        assert _outcome(w, float("nan")) is None
+        assert _outcome(w, float("inf")) == "partition area inf exceeds grid size 1024"
+
+    @given(st.floats(allow_nan=True, allow_infinity=True) | st.integers(-2**40, 2**40))
+    @settings(max_examples=200, deadline=None)
+    def test_any_scalar_matches_array_path(self, value):
+        w = Workload(n=32, stencil=FIVE_POINT)
+        expected = _outcome(w, np.array(float(value)))
+        assert _outcome(w, value) == expected
+        assert _outcome(w, np.float64(value)) == expected
 
 
 class TestCycleTimeAllProcessors:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConvergenceError, InvalidParameterError
 from repro.solver.convergence import CheckSchedule, InfNormCriterion
+from repro.solver.grid import GridField
 from repro.solver.jacobi import solve_jacobi
 from repro.solver.problems import laplace_problem, poisson_manufactured
 from repro.stencils.library import (
@@ -107,9 +108,17 @@ class TestFailures:
         with pytest.raises(InvalidParameterError):
             solve_jacobi(FIVE_POINT, laplace_problem(), 8, max_iterations=0)
 
+    @pytest.mark.parametrize(
+        "initial",
+        [GridField.zeros(10, FIVE_POINT), GridField.zeros(8, NINE_POINT_STAR)],
+        ids=["wrong-side", "wrong-ghost"],
+    )
+    def test_mismatched_initial_rejected_up_front(self, initial):
+        with pytest.raises(InvalidParameterError, match="initial field"):
+            solve_jacobi(FIVE_POINT, laplace_problem(), 8, initial=initial)
+
     def test_final_measure_requires_history(self):
         from repro.solver.jacobi import JacobiResult
-        from repro.solver.grid import GridField
 
         empty = JacobiResult(
             field=GridField.zeros(4, FIVE_POINT), iterations=0, converged=False

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConvergenceError, InvalidParameterError
 from repro.partitioning.decomposition import decomposition_for
 from repro.solver.convergence import InfNormCriterion, SumSquaresCriterion
 from repro.solver.jacobi import solve_jacobi
@@ -108,3 +109,34 @@ class TestCriteria:
         )
         assert par.iterations == seq.iterations
         np.testing.assert_allclose(par.history, seq.history, rtol=1e-12)
+
+
+class TestFailures:
+    def test_bad_max_iterations_rejected_like_sequential(self):
+        dec = decomposition_for(8, 4, "block")
+        with pytest.raises(InvalidParameterError, match="max_iterations must be >= 1"):
+            solve_jacobi_parallel(FIVE_POINT, laplace_problem(), dec, max_iterations=0)
+
+    def test_exhaustion_raises(self):
+        dec = decomposition_for(16, 4, "strip")
+        with pytest.raises(ConvergenceError, match="did not converge in 3 iterations"):
+            solve_jacobi_parallel(
+                FIVE_POINT, poisson_manufactured(), dec, InfNormCriterion(1e-14),
+                max_iterations=3,
+            )
+
+
+class TestDoubleBuffering:
+    def test_sweeps_alternate_buffers_and_keep_boundary(self):
+        problem = laplace_problem(1.0)
+        dec = decomposition_for(12, 4, "block")
+        runner = ParallelJacobi(FIVE_POINT, problem, dec)
+        first = runner.locals
+        runner.sweep()
+        assert runner.locals is not first
+        runner.sweep()
+        assert runner.locals is first
+        assert runner.iterations == 2
+        # Ghosts on the domain boundary keep the boundary value in both buffers.
+        for buffer in runner.buffers:
+            assert buffer[0][0, :].tolist() == [1.0] * buffer[0].shape[1]
